@@ -237,22 +237,6 @@ def _gamma_at(forcing_gamma, n: int, n_modes: int):
     return arr[n]
 
 
-def _eta_increment(eta_n, sd, xi):
-    """Noise increment of the eta forcing for one step.
-
-    Diagonal eta: entrywise; matrix eta: rows weighted by the per-mode OU
-    standard deviation, exact in law for diagonal operators.
-    """
-    if eta_n is None:
-        return 0.0
-    eta_n = np.asarray(eta_n, dtype=float)
-    if eta_n.ndim == 1:
-        return eta_n * sd * xi
-    if eta_n.ndim == 2:
-        return (eta_n * sd[:, None]) @ xi
-    raise ShapeError("eta forcing entries must be vectors (diagonal) or matrices")
-
-
 def _eta_at(forcing_eta, n: int):
     if forcing_eta is None:
         return None

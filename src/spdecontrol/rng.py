@@ -39,7 +39,3 @@ def make_rng(seed) -> np.random.Generator:
     if isinstance(seed, tuple) and len(seed) == 3 and isinstance(seed[1], str):
         return np.random.default_rng(seed_sequence(*seed))
     return np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
-
-
-def path_rngs(root_seed: int, tag: str, n_paths: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(seed_sequence(root_seed, tag, i)) for i in range(n_paths)]

@@ -5,7 +5,9 @@ represented either by coefficients in the sine eigenbasis or by values on
 the interior collocation grid xi_j = j*pi/(M+1).  With that grid the two
 representations are exchanged by an exactly invertible discrete sine
 transform (DST-I), so projection/reconstruction round-trips are lossless
-at truncation order M per axis.
+at truncation order M per axis.  Up to ``DENSE_TRANSFORM_MAX_MODES``
+modes the transform is one product with the precomputed sine matrix;
+above it, pocketfft's DST-I.  It is the same transform either way.
 
 The unit ball never gets a discretization here; it participates only
 through its eigenfunction-growth profile in the noise-regularity
@@ -22,6 +24,14 @@ import numpy as np
 import scipy.fft
 
 from .errors import CapacityError, ConfigurationError
+
+
+# Largest n_modes whose transforms use the dense sine matrix.  Below it one
+# matrix product beats pocketfft's per-call overhead on the short rows used
+# here; above it the DST wins and the N x N matrix would cost O(N^2) memory.
+# Single-thread timings put the crossover between 384 modes (a tie) and 512
+# (the DST about 2x faster on one row); 256 keeps each matrix at 512 KiB.
+DENSE_TRANSFORM_MAX_MODES = 256
 
 
 class DomainKind(str, Enum):
@@ -48,6 +58,10 @@ class SpectralDomain:
     collocation_points: np.ndarray   # (N, d) interior grid, hypercube only
     quad_weight: float               # (pi/(M+1))**d
     _tensor_index: np.ndarray = field(repr=False, default=None)  # sorted -> flat tensor position
+    # dense sine matrices (N, N), None above DENSE_TRANSFORM_MAX_MODES:
+    # synthesis[k, j] = e_k(xi_j), analysis = quad_weight * synthesis.T
+    _synthesis: np.ndarray = field(repr=False, compare=False, default=None)
+    _analysis: np.ndarray = field(repr=False, compare=False, default=None)
 
     @property
     def n_modes(self) -> int:
@@ -61,32 +75,21 @@ class SpectralDomain:
                 "ball-formula domains carry no collocation grid; "
                 "only threshold/series formulas are available")
 
-    def _tensor_shape(self):
-        return (self.n_modes_per_axis,) * self.dimension
-
     def to_field(self, coeffs: np.ndarray) -> np.ndarray:
         """Eigen-coefficients (..., N) -> collocation values (..., N)."""
         self._require_grid()
         coeffs = np.asarray(coeffs, dtype=float)
-        tens = np.zeros(coeffs.shape, dtype=float)
-        tens[..., self._tensor_index] = coeffs
-        d = self.dimension
-        shape = coeffs.shape[:-1] + self._tensor_shape()
-        axes = tuple(range(-d, 0))
-        out = scipy.fft.dstn(tens.reshape(shape), type=1, axes=axes)
-        out *= (0.5 ** d) * (2.0 / math.pi) ** (d / 2.0)
-        return out.reshape(coeffs.shape)
+        if self._synthesis is None:
+            return _dst_to_field(self, coeffs)
+        return _rowwise_product(coeffs, self._synthesis)
 
     def to_coeffs(self, field_values: np.ndarray) -> np.ndarray:
         """Collocation values (..., N) -> eigen-coefficients (..., N)."""
         self._require_grid()
         field_values = np.asarray(field_values, dtype=float)
-        d = self.dimension
-        shape = field_values.shape[:-1] + self._tensor_shape()
-        axes = tuple(range(-d, 0))
-        tens = scipy.fft.dstn(field_values.reshape(shape), type=1, axes=axes)
-        tens *= (0.5 ** d) * (2.0 / math.pi) ** (d / 2.0) * self.quad_weight
-        return tens.reshape(field_values.shape)[..., self._tensor_index]
+        if self._analysis is None:
+            return _dst_to_coeffs(self, field_values)
+        return _rowwise_product(field_values, self._analysis)
 
     def evaluate_modes(self, points: np.ndarray) -> np.ndarray:
         """Matrix e_k(xi) of shape (n_points, N) at arbitrary interior points."""
@@ -132,10 +135,15 @@ def make_domain(dimension: int, n_modes_per_axis: int,
     eigenvalues = eigenvalues[order]
     tensor_index = np.ravel_multi_index((indices - 1).T, (m,) * d)
 
+    synthesis = analysis = None
+    quad_weight = (math.pi / (m + 1)) ** d
     if kind is DomainKind.HYPERCUBE:
         pts_axis = np.arange(1, m + 1) * (math.pi / (m + 1))
         pgrids = np.meshgrid(*([pts_axis] * d), indexing="ij")
         colloc = np.stack([g.ravel() for g in pgrids], axis=1)
+        if m ** d <= DENSE_TRANSFORM_MAX_MODES:
+            synthesis = _sine_matrix(m, d)[tensor_index]
+            analysis = np.ascontiguousarray(quad_weight * synthesis.T)
     else:
         colloc = np.empty((0, d))
 
@@ -147,9 +155,56 @@ def make_domain(dimension: int, n_modes_per_axis: int,
         mode_indices=indices,
         lambda_exponent=d / 4.0,
         collocation_points=colloc,
-        quad_weight=(math.pi / (m + 1)) ** d,
+        quad_weight=quad_weight,
         _tensor_index=tensor_index,
+        _synthesis=synthesis,
+        _analysis=analysis,
     )
+
+
+# -- transform kernels -------------------------------------------------------
+
+def _sine_matrix(m: int, d: int) -> np.ndarray:
+    """e_k(xi_j) with rows and columns in tensor-ravel order, shape (m^d, m^d).
+
+    The 1-D table sin(pi k j / (m+1)) reduces k j modulo 2 (m+1) in exact
+    integers first, so no entry is the sine of a large, already rounded
+    angle.
+    """
+    k = np.arange(1, m + 1)
+    table = np.sin(np.outer(k, k) % (2 * (m + 1)) * (math.pi / (m + 1)))
+    out = np.ones((1, 1))
+    for _ in range(d):
+        out = np.kron(out, table)
+    return out * (2.0 / math.pi) ** (d / 2.0)
+
+
+def _rowwise_product(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """values (..., N) @ matrix as one 2-D product over all leading axes."""
+    flat = values.reshape(-1, values.shape[-1]) if values.ndim > 2 else values
+    return (flat @ matrix).reshape(values.shape)
+
+
+def _dst_to_field(domain: SpectralDomain, coeffs: np.ndarray) -> np.ndarray:
+    """``to_field`` by pocketfft DST-I: the large-N path and the test reference."""
+    tens = np.zeros(coeffs.shape, dtype=float)
+    tens[..., domain._tensor_index] = coeffs
+    d = domain.dimension
+    shape = coeffs.shape[:-1] + (domain.n_modes_per_axis,) * d
+    axes = tuple(range(-d, 0))
+    out = scipy.fft.dstn(tens.reshape(shape), type=1, axes=axes)
+    out *= (0.5 ** d) * (2.0 / math.pi) ** (d / 2.0)
+    return out.reshape(coeffs.shape)
+
+
+def _dst_to_coeffs(domain: SpectralDomain, field_values: np.ndarray) -> np.ndarray:
+    """``to_coeffs`` by pocketfft DST-I: the large-N path and the test reference."""
+    d = domain.dimension
+    shape = field_values.shape[:-1] + (domain.n_modes_per_axis,) * d
+    axes = tuple(range(-d, 0))
+    tens = scipy.fft.dstn(field_values.reshape(shape), type=1, axes=axes)
+    tens *= (0.5 ** d) * (2.0 / math.pi) ** (d / 2.0) * domain.quad_weight
+    return tens.reshape(field_values.shape)[..., domain._tensor_index]
 
 
 # -- operations ------------------------------------------------------------

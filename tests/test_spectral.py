@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdecontrol.errors import CapacityError, ConfigurationError
-from spdecontrol.spectral import (DomainKind, eigenpairs, fractional_power_diag,
+from spdecontrol.spectral import (DENSE_TRANSFORM_MAX_MODES, DomainKind, _dst_to_coeffs,
+                                  _dst_to_field, eigenpairs, fractional_power_diag,
                                   make_domain, regularity_threshold, semigroup_apply,
                                   ultracontractivity_witness, weyl_count)
 
@@ -186,7 +191,8 @@ class TestTransforms:
         gram = weight * (mat.T @ mat)
         assert np.max(np.abs(gram - np.eye(dom.n_modes))) < 1e-8
 
-    @pytest.mark.parametrize("d,m", [(1, 32), (2, 8)])
+    # (1, 256) is the largest dense-matrix size; (1, 512) and (3, 8) use the DST
+    @pytest.mark.parametrize("d,m", [(1, 32), (2, 8), (1, 256), (1, 512), (3, 8)])
     def test_roundtrip(self, d, m):
         dom = make_domain(d, m)
         c = np.random.default_rng(1).standard_normal(dom.n_modes)
@@ -206,3 +212,50 @@ class TestTransforms:
         dom = make_domain(2, 4, DomainKind.BALL_FORMULA)
         with pytest.raises(ConfigurationError):
             dom.to_field(np.zeros(dom.n_modes))
+        with pytest.raises(ConfigurationError):
+            dom.to_coeffs(np.zeros(dom.n_modes))
+
+    @pytest.mark.parametrize("d,m", [(1, 16), (1, 256), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("batch", [(), (1,), (37,), (3, 4)])
+    def test_dense_matches_dst(self, d, m, batch):
+        dom = make_domain(d, m)
+        assert dom.n_modes <= DENSE_TRANSFORM_MAX_MODES
+        shape = batch + (dom.n_modes,)
+        x = np.random.default_rng(d * 1000 + m).standard_normal(shape)
+        for dense, reference in ((dom.to_field(x), _dst_to_field(dom, x)),
+                                 (dom.to_coeffs(x), _dst_to_coeffs(dom, x))):
+            assert dense.shape == shape
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(dense - reference)) <= 1e-12 * scale
+
+    def test_dense_matrix_only_up_to_crossover(self):
+        assert make_domain(1, DENSE_TRANSFORM_MAX_MODES)._synthesis is not None
+        assert make_domain(1, DENSE_TRANSFORM_MAX_MODES + 1)._synthesis is None
+        assert make_domain(2, 48)._synthesis is None
+        assert make_domain(2, 4, DomainKind.BALL_FORMULA)._synthesis is None
+
+
+_TRANSFORM_HASHES = """
+import hashlib
+import numpy as np
+from spdecontrol.spectral import make_domain
+for d, m, rows in [(1, 16, 500), (1, 64, 200), (2, 8, 200), (3, 4, 200), (1, 64, None)]:
+    dom = make_domain(d, m)
+    shape = (dom.n_modes,) if rows is None else (rows, dom.n_modes)
+    x = np.random.default_rng(7).standard_normal(shape)
+    for out in (dom.to_field(x), dom.to_coeffs(x)):
+        print(d, m, rows, hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest())
+"""
+
+
+def test_transform_bytes_independent_of_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _TRANSFORM_HASHES], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        hashes.append(run.stdout.splitlines())
+    assert len(hashes[0]) == 10
+    assert hashes[0] == hashes[1]
