@@ -63,7 +63,6 @@ class AdjointPair:
     times: np.ndarray
     p_coeffs: np.ndarray                 # (n_steps + 1, N)
     q_matrix: Optional[np.ndarray] = None  # (n_steps, N, N_K)
-    weighted_norms: Optional[dict] = None
 
 
 class _StepRegressor:
@@ -300,8 +299,7 @@ def duality_residual(problem, forcing_gamma=None, forcing_eta=None, n_paths: int
 
 # -- weighted norms --------------------------------------------------------------
 
-def weighted_norm_report(solution, r_prime: float = 1.5,
-                         sobolev_s: Optional[float] = None) -> dict:
+def weighted_norm_report(solution: AdjointSolution, r_prime: float = 1.5) -> dict:
     """Moments of the (T-t)^lambda-weighted p-norm and the V'-weighted q-norm.
 
     Reports (E I^r')^(1/r') for I the per-path integrals; the final grid
@@ -310,43 +308,12 @@ def weighted_norm_report(solution, r_prime: float = 1.5,
     """
     if not 1.0 < r_prime < 2.0:
         raise ConfigurationError(f"r' must lie in (1, 2), got {r_prime}")
-    if isinstance(solution, AdjointSolution):
-        ip = solution.p_weighted_per_path
-        p_weighted = float(np.mean(ip ** r_prime) ** (1.0 / r_prime))
-        q_norm = None
-        if solution.q_weighted_per_path is not None:
-            q_norm = float(np.mean(solution.q_weighted_per_path ** r_prime) ** (1.0 / r_prime))
-        return {"p_weighted": p_weighted, "q_norm": q_norm}
-
-    pair = solution
-    n_steps = pair.times.size - 1
-    horizon = float(pair.times[-1])
-    dt = horizon / n_steps
-    lam_cells = weight_cell_integrals(horizon, n_steps, _lambda_from_pair(pair))
-    ip = float(np.sum(np.sum(pair.p_coeffs[:-1] ** 2, axis=1) * lam_cells))
+    ip = solution.p_weighted_per_path
+    p_weighted = float(np.mean(ip ** r_prime) ** (1.0 / r_prime))
     q_norm = None
-    if pair.q_matrix is not None:
-        if sobolev_s is None:
-            raise ConfigurationError("sobolev_s needed to weight the q norm of a bare pair")
-        mu = _mu_from_pair(pair)
-        w = (1.0 + mu) ** (-sobolev_s)
-        q_norm = float(np.sum(w[None, :, None] * pair.q_matrix**2) * dt)
-    pair.weighted_norms = {"p_weighted": ip, "q_norm": q_norm}
-    return pair.weighted_norms
-
-
-def _lambda_from_pair(pair):
-    lam = getattr(pair, "lambda_exponent", None)
-    if lam is None:
-        raise ConfigurationError("bare AdjointPair needs a lambda_exponent attribute")
-    return lam
-
-
-def _mu_from_pair(pair):
-    mu = getattr(pair, "eigenvalues", None)
-    if mu is None:
-        raise ConfigurationError("bare AdjointPair needs an eigenvalues attribute")
-    return mu
+    if solution.q_weighted_per_path is not None:
+        q_norm = float(np.mean(solution.q_weighted_per_path ** r_prime) ** (1.0 / r_prime))
+    return {"p_weighted": p_weighted, "q_norm": q_norm}
 
 
 # -- exports ---------------------------------------------------------------------

@@ -4,8 +4,7 @@ Every run derives all randomness from one root seed, writes per-study CSV
 and JSON artifacts into the output directory and finishes with a manifest
 (config hash, seed, package versions, artifact hashes).  Identical config
 and seed reproduce the artifacts byte for byte; path-level work is
-vectorized, and aggregation order is fixed, so the --threads knob never
-changes results.
+vectorized and aggregation order is fixed.
 """
 
 from __future__ import annotations
@@ -511,10 +510,9 @@ _RUNNERS = {
 }
 
 
-def run(subcommand: str, config_path: str, out_dir: str, *, seed=None, paths=None,
-        threads=None) -> int:
+def run(subcommand: str, config_path: str, out_dir: str, *, seed=None, paths=None) -> int:
     """Execute one study; returns the process exit status."""
-    args = argparse.Namespace(seed=seed, paths=paths, threads=threads)
+    args = argparse.Namespace(seed=seed, paths=paths)
     out = Path(out_dir)
     path = Path(config_path)
     if not path.is_file():
@@ -534,7 +532,6 @@ def run(subcommand: str, config_path: str, out_dir: str, *, seed=None, paths=Non
             json.dumps(_pyify(config), sort_keys=True).encode()).hexdigest(),
         "seed": root_seed,
         "paths": n_paths,
-        "threads": int(threads or 1),
         "versions": {"spdecontrol": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "artifacts": {},
@@ -563,11 +560,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=None, help="override the root seed")
     parser.add_argument("--paths", type=int, default=None, help="override the path count")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint, recorded in the manifest (results never depend on it)")
     args = parser.parse_args(argv)
-    return run(args.subcommand, args.config, args.out, seed=args.seed,
-               paths=args.paths, threads=args.threads)
+    return run(args.subcommand, args.config, args.out, seed=args.seed, paths=args.paths)
 
 
 if __name__ == "__main__":

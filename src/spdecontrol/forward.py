@@ -2,14 +2,19 @@
 
 Time stepping is exponential Euler in the eigenbasis: the semigroup is
 applied exactly, the reaction term is evaluated pseudospectrally (pointwise
-on the collocation grid, projected back by the exact DST pairing) and
-weighted by the phi1 factor (1 - exp(-mu dt))/mu so constant forcings are
-integrated without quadrature error, and the noise increment reuses the
-exact Ornstein-Uhlenbeck transition of the stochastic convolution.
+on the collocation grid, projected back by the exact sine-transform
+pairing) and weighted by the phi1 factor (1 - exp(-mu dt))/mu so constant
+forcings are integrated without quadrature error, and the noise increment
+reuses the exact Ornstein-Uhlenbeck transition of the stochastic
+convolution.
 
-The same core also solves the linearized equation with forcings
-(gamma, eta) driven by the Wiener increments of a base path, which is what
-the spike-variation and duality machinery need.
+One core, ``_exp_euler``, holds the nonlinear step and its blow-up guard
+for a batch of paths: ``simulate_ensemble`` drives it with per-path
+normals (fresh, or those of an earlier ensemble to rerun its noise under
+another control) and ``simulate_state`` with a batch of one.
+``linearized_modes`` solves the linearized equation with forcings
+(gamma, eta) along a batch of base paths, reusing their normals, which is
+what the spike-variation and duality machinery need.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import ConfigurationError, InstabilityError, ShapeError
 from .noise import NoiseModel, convolution_increments, ou_factors, wiener_normals
 from .nonlinearity import ControlSpace, NemytskiiDrift
 from .rng import seed_sequence
-from .spectral import SpectralDomain, make_domain
+from .spectral import SpectralDomain
 
 
 @dataclass
@@ -55,8 +60,7 @@ class StateTrajectory:
     mode_coeffs: np.ndarray    # (n_steps + 1, N)
     control: Optional[ControlProcess]
     path_seed: object          # RNG provenance (seed spec or "derived")
-    normals: Optional[np.ndarray] = None           # (n_steps, N) driving normals
-    noise_increments: Optional[np.ndarray] = None  # (n_steps, N) convolution increments
+    normals: Optional[np.ndarray] = None  # (n_steps, N) driving normals
 
     @property
     def n_steps(self) -> int:
@@ -72,35 +76,6 @@ class StateTrajectory:
 
     def sup_norms(self) -> np.ndarray:
         return self.domain.sup_norm(self.mode_coeffs)
-
-
-# -- dealiasing helpers -------------------------------------------------------
-
-_PAD_CACHE: dict = {}
-
-
-def _padded(domain: SpectralDomain):
-    """3/2-rule companion domain plus the index embedding of the base modes."""
-    key = (domain.dimension, domain.n_modes_per_axis)
-    if key not in _PAD_CACHE:
-        m_pad = (3 * domain.n_modes_per_axis + 1) // 2
-        pad = make_domain(domain.dimension, m_pad)
-        lookup = {tuple(k): i for i, k in enumerate(pad.mode_indices)}
-        embed = np.array([lookup[tuple(k)] for k in domain.mode_indices])
-        _PAD_CACHE[key] = (pad, embed)
-    return _PAD_CACHE[key]
-
-
-def project_reaction(domain: SpectralDomain, drift: NemytskiiDrift,
-                     state_coeffs: np.ndarray, u, dealias: bool = False) -> np.ndarray:
-    """Eigen-coefficients of the Nemytskii reaction f(X(.), u)."""
-    if not dealias:
-        return domain.to_coeffs(drift.f(domain.to_field(state_coeffs), u))
-    pad, embed = _padded(domain)
-    shape = state_coeffs.shape[:-1] + (pad.n_modes,)
-    padded = np.zeros(shape)
-    padded[..., embed] = state_coeffs
-    return pad.to_coeffs(drift.f(pad.to_field(padded), u))[..., embed]
 
 
 # -- core integrator ----------------------------------------------------------
@@ -119,10 +94,36 @@ def _check_stability(drift: NemytskiiDrift, dt: float):
             f"beta={drift.dissipativity_bound}")
 
 
+def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np.ndarray,
+               x0: np.ndarray, increments: np.ndarray, dt: float,
+               blowup_bound: float) -> np.ndarray:
+    """Exponential-Euler paths driven by per-step increments of shape (P, n_steps, N).
+
+    Returns modes of shape (P, n_steps + 1, N).  Before every step the
+    sup-norm over all paths is checked; a non-finite value or one above
+    ``blowup_bound`` raises ``InstabilityError`` naming the step.
+    """
+    n_paths, n_steps, n_modes = increments.shape
+    decay, wdrift = _step_weights(domain, dt)
+    modes = np.empty((n_paths, n_steps + 1, n_modes))
+    state = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, n_modes)).copy()
+    modes[:, 0] = state
+    for n in range(n_steps):
+        field = domain.to_field(state)
+        peak = np.max(np.abs(field))
+        if not np.isfinite(peak) or peak > blowup_bound:
+            raise InstabilityError(
+                f"state sup-norm {peak:.3e} exceeded {blowup_bound:.1e} at step {n}", step=n)
+        reaction = domain.to_coeffs(drift.f(field, control_values[n]))
+        state = decay * state + wdrift * reaction + increments[:, n]
+        modes[:, n + 1] = state
+    return modes
+
+
 def simulate_state(domain: SpectralDomain, drift: NemytskiiDrift, noise: NoiseModel,
                    control: ControlProcess, x0: np.ndarray, n_steps: int, horizon: float,
                    path_seed, *, noise_increments: Optional[np.ndarray] = None,
-                   blowup_bound: float = 1e6, dealias: bool = False) -> StateTrajectory:
+                   blowup_bound: float = 1e6) -> StateTrajectory:
     """Sample one mild-solution path of the controlled equation.
 
     ``path_seed`` feeds the driving normals unless explicit per-step
@@ -144,24 +145,11 @@ def simulate_state(domain: SpectralDomain, drift: NemytskiiDrift, noise: NoiseMo
     elif noise_increments.shape != (n_steps, domain.n_modes):
         raise ShapeError("noise_increments shape mismatch")
 
-    decay, wdrift = _step_weights(domain, dt)
-    coeffs = np.empty((n_steps + 1, domain.n_modes))
-    coeffs[0] = x0
-    state = x0.copy()
-    for n in range(n_steps):
-        field = domain.to_field(state)
-        peak = np.max(np.abs(field))
-        if not np.isfinite(peak) or peak > blowup_bound:
-            raise InstabilityError(
-                f"state sup-norm {peak:.3e} exceeded {blowup_bound:.1e} at step {n}", step=n)
-        reaction = domain.to_coeffs(drift.f(field, control.values[n])) if not dealias \
-            else project_reaction(domain, drift, state, control.values[n], dealias=True)
-        state = decay * state + wdrift * reaction + noise_increments[n]
-        coeffs[n + 1] = state
-
+    coeffs = _exp_euler(domain, drift, control.values, x0, noise_increments[None], dt,
+                        blowup_bound)[0]
     return StateTrajectory(domain=domain, times=np.linspace(0.0, horizon, n_steps + 1),
                            mode_coeffs=coeffs, control=control, path_seed=path_seed,
-                           normals=normals, noise_increments=noise_increments)
+                           normals=normals)
 
 
 @dataclass
@@ -193,8 +181,12 @@ class EnsembleStates:
 def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: NoiseModel,
                       control: ControlProcess, x0: np.ndarray, n_steps: int, horizon: float,
                       n_paths: int, root_seed: int, *, normals: Optional[np.ndarray] = None,
-                      blowup_bound: float = 1e6, dealias: bool = False) -> EnsembleStates:
-    """Vectorized multi-path version of ``simulate_state`` (shared control)."""
+                      blowup_bound: float = 1e6) -> EnsembleStates:
+    """Multi-path version of ``simulate_state`` (shared control).
+
+    Passing the ``normals`` of an earlier ensemble reruns its noise paths
+    under another control, which is how spike variations are simulated.
+    """
     if len(control) != n_steps:
         raise ShapeError(f"control has {len(control)} values for {n_steps} steps")
     _check_stability(drift, horizon / n_steps)
@@ -203,23 +195,11 @@ def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: Nois
         normals = np.stack([
             wiener_normals(seed_sequence(root_seed, "wiener", i), n_steps, domain.n_modes)
             for i in range(n_paths)])
+    elif normals.shape != (n_paths, n_steps, domain.n_modes):
+        raise ShapeError(f"normals must have shape {(n_paths, n_steps, domain.n_modes)}, "
+                         f"got {normals.shape}")
     incr = convolution_increments(domain, noise, normals, dt)
-
-    decay, wdrift = _step_weights(domain, dt)
-    modes = np.empty((n_paths, n_steps + 1, domain.n_modes))
-    state = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, domain.n_modes)).copy()
-    modes[:, 0] = state
-    for n in range(n_steps):
-        field = domain.to_field(state)
-        peak = np.max(np.abs(field))
-        if not np.isfinite(peak) or peak > blowup_bound:
-            raise InstabilityError(
-                f"ensemble sup-norm {peak:.3e} exceeded {blowup_bound:.1e} at step {n}", step=n)
-        reaction = domain.to_coeffs(drift.f(field, control.values[n])) if not dealias \
-            else project_reaction(domain, drift, state, control.values[n], dealias=True)
-        state = decay * state + wdrift * reaction + incr[:, n]
-        modes[:, n + 1] = state
-
+    modes = _exp_euler(domain, drift, control.values, x0, incr, dt, blowup_bound)
     return EnsembleStates(domain=domain, times=np.linspace(0.0, horizon, n_steps + 1),
                           modes=modes, normals=normals, control=control, root_seed=root_seed)
 
@@ -312,7 +292,7 @@ def simulate_auxiliary(domain: SpectralDomain, drift: NemytskiiDrift,
                               forcing_eta=forcing_eta, drift_active=drift_active)[0]
     return StateTrajectory(domain=domain, times=base.times, mode_coeffs=coeffs,
                            control=control, path_seed=base.path_seed,
-                           normals=base.normals, noise_increments=None)
+                           normals=base.normals)
 
 
 def weight_cell_integrals(horizon: float, n_steps: int, exponent: float) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 The covariance is diagonal, b_k = mu_k^(-gamma), so each mode of the
 stochastic convolution is a scalar Ornstein-Uhlenbeck process.  Sampling
-uses the exact per-step OU transition (no Euler bias in law); the only
+uses the exact per-step OU transition (no Euler bias in law), and one
+recursion, ``ou_paths``, turns per-step increments into convolution paths
+for both ``sample_convolution`` and the sup-norm moment study.  The only
 approximation anywhere is the mode truncation, which is exactly what the
 regularity diagnostics in this module are meant to probe.
 """
@@ -75,6 +77,20 @@ def convolution_increments(domain: SpectralDomain, noise: NoiseModel,
     return normals * (noise.b_coeffs * sd)
 
 
+def ou_paths(mu: np.ndarray, dt: float, increments: np.ndarray) -> np.ndarray:
+    """Ornstein-Uhlenbeck paths from their per-step increments.
+
+    w_0 = 0 and w_{n+1} = exp(-mu dt) w_n + increments[n]; ``increments``
+    has shape (n_steps, N) and the result (n_steps + 1, N).
+    """
+    n_steps, n_modes = increments.shape
+    decay = np.exp(-np.asarray(mu, dtype=float) * dt)
+    out = np.zeros((n_steps + 1, n_modes))
+    for n in range(n_steps):
+        out[n + 1] = decay * out[n] + increments[n]
+    return out
+
+
 def aggregate_increments(increments: np.ndarray, mu: np.ndarray,
                          dt_fine: float, ratio: int) -> np.ndarray:
     """Collapse fine-step convolution increments onto a grid ``ratio`` x coarser.
@@ -105,12 +121,8 @@ def sample_convolution(domain: SpectralDomain, noise: NoiseModel, n_steps: int,
     dt = horizon / n_steps
     normals = wiener_normals(path_seed, n_steps, domain.n_modes)
     incr = convolution_increments(domain, noise, normals, dt)
-    decay = np.exp(-domain.eigenvalues * dt)
-    coeffs = np.zeros((n_steps + 1, domain.n_modes))
-    for n in range(n_steps):
-        coeffs[n + 1] = decay * coeffs[n] + incr[n]
     return ConvolutionSample(times=np.linspace(0.0, horizon, n_steps + 1),
-                             mode_coeffs=coeffs)
+                             mode_coeffs=ou_paths(domain.eigenvalues, dt, incr))
 
 
 # -- analytic diagnostics ----------------------------------------------------
@@ -189,13 +201,8 @@ def supnorm_moment_study(domain: SpectralDomain, noise: NoiseModel,
             xi_sorted = normals[slicer].reshape(n_steps, -1)[:, sub._tensor_index]
             sub_noise = NoiseModel(sub, noise.gamma, noise.alpha, noise.seed)
             incr = convolution_increments(sub, sub_noise, xi_sorted, dt)
-            decay = np.exp(-sub.eigenvalues * dt)
-            w = np.zeros(sub.n_modes)
-            best = 0.0
-            for n in range(n_steps):
-                w = decay * w + incr[n]
-                best = max(best, float(sub.sup_norm(w)))
-            sups[m][i] = best
+            w = ou_paths(sub.eigenvalues, dt, incr)[1:]
+            sups[m][i] = np.max(sub.sup_norm(w))
 
     rows = []
     for m in truncations:

@@ -229,11 +229,30 @@ def eigenpairs(domain: SpectralDomain, count: int):
     return out
 
 
+def _two_product(a: np.ndarray, b: float):
+    """(hi, lo) with hi = fl(a*b) and hi + lo = a*b exactly (Veltkamp/Dekker)."""
+    split = 134217729.0                     # 2^27 + 1
+    ca, cb = split * a, split * b
+    a_hi = ca - (ca - a)
+    a_lo = a - a_hi
+    b_hi = cb - (cb - b)
+    b_lo = b - b_hi
+    hi = a * b
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
 def semigroup_apply(domain: SpectralDomain, t: float, coeffs: np.ndarray) -> np.ndarray:
-    """Heat semigroup in coefficients: mode k is scaled by exp(-mu_k t)."""
+    """Heat semigroup in coefficients: mode k is scaled by exp(-mu_k t).
+
+    The exponent mu_k t is split exactly into hi + lo, so the rounding of
+    the product does not enter the factor; S(s) S(t) and S(s + t) then
+    differ only by the rounding of s + t.
+    """
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    return np.asarray(coeffs, dtype=float) * np.exp(-domain.eigenvalues * t)
+    hi, lo = _two_product(domain.eigenvalues, float(t))
+    return np.asarray(coeffs, dtype=float) * (np.exp(-hi) * np.exp(-lo))
 
 
 def ultracontractivity_witness(domain: SpectralDomain, t: float, probe: np.ndarray) -> float:

@@ -1,7 +1,8 @@
 """Spike variations and the order estimates behind the optimality argument.
 
 A spike replaces the control on a short window [t0, t0 + eps) and the
-perturbed state is rerun with the identical noise path, so the pathwise
+perturbed state is rerun with the identical noise path (the ensemble
+stepper driven by the base ensemble's normals), so the pathwise
 differences isolate the control effect.  The studies here fit the growth
 orders in eps of
 
@@ -23,7 +24,6 @@ from .control import ControlProblem, cost_of_ensemble, trapezoid_weights
 from .errors import ConfigurationError, GridError
 from .forward import (ControlProcess, EnsembleStates, StateTrajectory,
                       linearized_modes, simulate_auxiliary, simulate_ensemble)
-from .noise import convolution_increments
 from .spectral import SpectralDomain
 
 
@@ -141,15 +141,13 @@ def spike_order_study(problem: ControlProblem, control: ControlProcess,
     n_steps = len(control)
     base = simulate_ensemble(domain, problem.drift, problem.noise, control, problem.x0,
                              n_steps, problem.horizon, n_paths, seed)
-    dt = base.dt
 
     rows = []
     sup2 = {}
     for eps in epsilons:
         spike = SpikeConfig(t0=t0, epsilon=eps, w=w)
         spiked_control = spike_perturb(control, spike, problem.horizon)
-        incr = convolution_increments(domain, problem.noise, base.normals, dt)
-        perturbed = _reuse_noise_ensemble(problem, spiked_control, base, incr)
+        perturbed = problem.ensemble(spiked_control, n_paths, seed, normals=base.normals)
         y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
 
         xi = perturbed.modes - base.modes
@@ -170,27 +168,6 @@ def spike_order_study(problem: ControlProblem, control: ControlProcess,
             "n_paths": n_paths, "t0": t0, "w": w}
 
 
-def _reuse_noise_ensemble(problem: ControlProblem, control: ControlProcess,
-                          base: EnsembleStates, increments: np.ndarray) -> EnsembleStates:
-    """Resimulate the ensemble under another control with identical noise."""
-    from .forward import _step_weights  # same integrator internals
-
-    domain, drift = problem.domain, problem.drift
-    n_paths, n_plus, n_modes = base.modes.shape
-    n_steps = n_plus - 1
-    decay, wdrift = _step_weights(domain, base.dt)
-    modes = np.empty_like(base.modes)
-    state = base.modes[:, 0].copy()
-    modes[:, 0] = state
-    for n in range(n_steps):
-        field = domain.to_field(state)
-        reaction = domain.to_coeffs(drift.f(field, control.values[n]))
-        state = decay * state + wdrift * reaction + increments[:, n]
-        modes[:, n + 1] = state
-    return EnsembleStates(domain=domain, times=base.times, modes=modes,
-                          normals=base.normals, control=control, root_seed=base.root_seed)
-
-
 def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
                          w: float, t0: float, epsilons, n_paths: int = 200,
                          seed=None) -> dict:
@@ -209,7 +186,6 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
     base = simulate_ensemble(domain, problem.drift, problem.noise, control, problem.x0,
                              n_steps, problem.horizon, n_paths, seed)
     dt = base.dt
-    incr = convolution_increments(domain, problem.noise, base.normals, dt)
     j_base = cost_of_ensemble(problem, base)
     wq = trapezoid_weights(n_steps, dt)
 
@@ -217,7 +193,7 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
     for eps in epsilons:
         spike = SpikeConfig(t0=t0, epsilon=eps, w=w)
         spiked_control = spike_perturb(control, spike, problem.horizon)
-        perturbed = _reuse_noise_ensemble(problem, spiked_control, base, incr)
+        perturbed = problem.ensemble(spiked_control, n_paths, seed, normals=base.normals)
         j_spiked = cost_of_ensemble(problem, perturbed)
         delta_j = float((j_spiked - j_base).mean())
 

@@ -135,13 +135,6 @@ class TestDuality:
 
 
 class TestWeightedNorms:
-    def test_zero_pair(self):
-        times = np.linspace(0.0, 1.0, 9)
-        pair = AdjointPair(times=times, p_coeffs=np.zeros((9, 4)))
-        pair.lambda_exponent = 0.25
-        out = weighted_norm_report(pair)
-        assert out["p_weighted"] == 0.0
-
     def test_weight_integral_sanity(self):
         lam, horizon = 0.25, 1.3
         cells = weight_cell_integrals(horizon, 200, lam)

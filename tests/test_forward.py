@@ -75,17 +75,21 @@ class TestSimulateState:
             simulate_state(dom, cubic_drift(a=1.0), NoiseModel(dom, 0.5, 0.25, 1),
                            constant_control(SPACE, 0.0, 4), unit_mode(dom), 4, 8.0, 0)
 
-    def test_blowup_guard_names_step(self):
+    @pytest.mark.parametrize("stepper", ["state", "ensemble"])
+    def test_blowup_guard_names_step(self, stepper):
         growth = NemytskiiDrift(
             f=lambda s, u: 3.0 * s, f_prime=lambda s, u: 3.0 * np.ones_like(np.asarray(s)),
             growth_degree=1, growth_const=4.0, dissipativity_bound=3.0,
             quasi_dissipativity_shift=4.0, name="amplifier")
         dom = make_domain(1, 8)
         noise = NoiseModel(dom, 0.5, 0.25, 1)
+        args = (dom, growth, noise, constant_control(SPACE, 0.0, 64), unit_mode(dom), 64, 1.0)
         with pytest.raises(InstabilityError) as err:
-            simulate_state(dom, growth, noise, constant_control(SPACE, 0.0, 64),
-                           unit_mode(dom), 64, 1.0, 0,
-                           noise_increments=np.zeros((64, 8)), blowup_bound=2.0)
+            if stepper == "state":
+                simulate_state(*args, 0, noise_increments=np.zeros((64, 8)), blowup_bound=2.0)
+            else:
+                # the route spike reruns take: stored normals of a base ensemble
+                simulate_ensemble(*args, 2, 0, normals=np.zeros((2, 64, 8)), blowup_bound=2.0)
         assert err.value.step is not None and err.value.step > 0
 
     def test_dissipative_sup_norm_damping(self):
@@ -94,8 +98,7 @@ class TestSimulateState:
         noise = NoiseModel(dom, 0.5, 0.25, 1)
         x0 = dom.to_coeffs(0.9 * np.sin(dom.collocation_points[:, 0]))
         traj = simulate_state(dom, drift, noise, constant_control(SPACE, 0.0, 128),
-                              x0, 128, 1.0, 0, noise_increments=np.zeros((128, 64)),
-                              dealias=True)
+                              x0, 128, 1.0, 0, noise_increments=np.zeros((128, 64)))
         sups = traj.sup_norms()
         assert np.all(np.diff(sups) <= 1e-12)
 
@@ -145,6 +148,15 @@ class TestEnsemble:
             single = simulate_state(dom, cubic_drift(), noise, ctrl, 0.2 * unit_mode(dom),
                                     16, 1.0, (17, "wiener", i))
             assert np.allclose(ens.modes[i], single.mode_coeffs, atol=1e-15)
+
+    def test_normals_shape_mismatch(self):
+        # stored normals from a run on another grid must not be rerun silently
+        dom = make_domain(1, 8)
+        noise = NoiseModel(dom, 0.5, 0.25, 17)
+        ctrl = constant_control(SPACE, 0.1, 16)
+        with pytest.raises(ShapeError):
+            simulate_ensemble(dom, cubic_drift(), noise, ctrl, 0.2 * unit_mode(dom),
+                              16, 1.0, 3, 17, normals=np.zeros((3, 8, 8)))
 
 
 class TestAuxiliary:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdecontrol.errors import CapacityError, ConfigurationError
@@ -86,6 +86,7 @@ class TestSemigroup:
 
     @settings(max_examples=25, deadline=None)
     @given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+    @example(s=0.4526993403893692, t=0.3)
     def test_semigroup_property(self, s, t):
         dom = make_domain(1, 32)
         c = np.linspace(1.0, 2.0, 32)

@@ -136,14 +136,10 @@ class TestSpikeOrderStudy:
     def test_difference_vanishes_before_spike(self):
         problem = catalog_problem("cubic-1d", modes=16, n_steps=64, seed=32)
         control = constant_control_for(problem, 0.0)
-        from spdecontrol.noise import convolution_increments
-        from spdecontrol.variation import _reuse_noise_ensemble
-
         base = problem.ensemble(control, 4, 32)
         spike = SpikeConfig(0.5, 0.125, 0.8)
         spiked = spike_perturb(control, spike, 1.0)
-        incr = convolution_increments(problem.domain, problem.noise, base.normals, base.dt)
-        pert = _reuse_noise_ensemble(problem, spiked, base, incr)
+        pert = problem.ensemble(spiked, 4, 32, normals=base.normals)
         n_start = int(round(0.5 / base.dt))
         assert np.array_equal(pert.modes[:, : n_start + 1], base.modes[:, : n_start + 1])
         assert np.any(pert.modes[:, n_start + 1] != base.modes[:, n_start + 1])
@@ -153,14 +149,10 @@ class TestSpikeOrderStudy:
         # realized-state Jacobian growth bound
         problem, _ = study
         control = constant_control_for(problem, 0.0)
-        from spdecontrol.noise import convolution_increments
-        from spdecontrol.variation import _reuse_noise_ensemble
-
         base = problem.ensemble(control, 16, 33)
         spike = SpikeConfig(0.5, 0.125, 0.8)
         spiked = spike_perturb(control, spike, 1.0)
-        incr = convolution_increments(problem.domain, problem.noise, base.normals, base.dt)
-        pert = _reuse_noise_ensemble(problem, spiked, base, incr)
+        pert = problem.ensemble(spiked, 16, 33, normals=base.normals)
         dom, drift = problem.domain, problem.drift
         dt = base.dt
         n_start = int(round(0.5 / dt))
