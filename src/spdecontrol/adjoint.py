@@ -51,6 +51,15 @@ class RegressionSpec:
     condition_limit: float = 1e10
     min_paths_per_feature: int = 10
 
+    def check_paths(self, n_modes: int, n_paths: int):
+        """Raise unless ``n_paths`` affords this basis on ``n_modes`` state modes."""
+        core_modes = n_modes if self.basis_modes is None else min(self.basis_modes, n_modes)
+        n_features = 1 + (core_modes if self.include_modes else 0) + (core_modes if self.degree2 else 0)
+        if n_paths < self.min_paths_per_feature * n_features:
+            raise ConfigurationError(
+                f"regression with {n_features} basis functions wants at least "
+                f"{self.min_paths_per_feature * n_features} paths, got {n_paths}")
+
 
 @dataclass
 class AdjointPair:
@@ -155,12 +164,7 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
     n_steps = n_plus - 1
     dt = ensemble.dt
     horizon = float(ensemble.times[-1])
-    core_modes = n_modes if spec.basis_modes is None else min(spec.basis_modes, n_modes)
-    n_features = 1 + (core_modes if spec.include_modes else 0) + (core_modes if spec.degree2 else 0)
-    if n_paths < spec.min_paths_per_feature * n_features:
-        raise ConfigurationError(
-            f"regression with {n_features} basis functions wants at least "
-            f"{spec.min_paths_per_feature * n_features} paths, got {n_paths}")
+    spec.check_paths(n_modes, n_paths)
     if sobolev_s is None:
         sobolev_s = domain.dimension / 2.0 + 0.5
 

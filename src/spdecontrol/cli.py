@@ -25,10 +25,10 @@ from .adjoint import (RegressionSpec, adjoint_to_binary, diagnostics_to_json,
                       duality_residual, solve_adjoint_regression, weighted_norm_report)
 from .control import (ControlProblem, Measure, catalog_problem,
                       check_maximum_principle, constant_control_for, cost_of_ensemble,
-                      evaluate_cost, lq_optimal_control, optimize_control,
-                      quadratic_cost, sine_profile_coeffs)
+                      lq_optimal_control, optimize_control, quadratic_cost,
+                      sine_profile_coeffs)
 from .errors import ConfigurationError, SpdeControlError
-from .forward import ControlProcess, constant_control, trajectory_to_binary, trajectory_to_csv
+from .forward import ControlProcess, trajectory_to_binary, trajectory_to_csv
 from .noise import NoiseModel, sample_convolution, series_condition_v, supnorm_moment_study, trace_summand
 from .nonlinearity import drift_from_config
 from .spectral import DomainKind, make_domain, regularity_threshold, semigroup_apply
@@ -213,7 +213,7 @@ def build_problem(config: dict, root_seed: int) -> ControlProblem:
 
 def _pyify(obj):
     if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items() if not isinstance(v, np.ndarray) or v.size <= 64}
+        return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -360,15 +360,17 @@ def _run_cost_expansion(problem, seed, paths, num, study, out: Path) -> list[Pat
     return [out / "cost_expansion.csv", out / "cost_expansion.json"]
 
 
-def _regression_spec(num):
-    return RegressionSpec(degree2=num.get("degree2_basis", False),
+def _regression_spec(num, problem, paths):
+    spec = RegressionSpec(degree2=num.get("degree2_basis", False),
                           basis_modes=num.get("basis_modes"),
                           clip=num.get("clip", 1e3))
+    spec.check_paths(problem.domain.n_modes, paths)
+    return spec
 
 
 def _run_adjoint_check(problem, seed, paths, num, study, out: Path) -> list[Path]:
     domain = problem.domain
-    spec = _regression_spec(num)
+    spec = _regression_spec(num, problem, paths)
     gamma = np.zeros((problem.n_steps, domain.n_modes))
     gamma[:, 0] = 1.0
     if domain.n_modes > 2:
@@ -393,9 +395,10 @@ def _run_adjoint_check(problem, seed, paths, num, study, out: Path) -> list[Path
 
 
 def _run_smp_check(problem, seed, paths, num, study, out: Path) -> list[Path]:
+    spec = _regression_spec(num, problem, paths)
     control = _base_control(problem, study)
     ens = problem.ensemble(control, paths, seed)
-    sol = solve_adjoint_regression(problem, ens, _regression_spec(num), compute_q=False)
+    sol = solve_adjoint_regression(problem, ens, spec, compute_q=False)
     report = check_maximum_principle(problem, control, sol,
                                      v_samples=problem.control_space.sample(
                                          study.get("v_count", 21)),
@@ -412,12 +415,12 @@ def _run_smp_check(problem, seed, paths, num, study, out: Path) -> list[Path]:
 
 
 def _run_optimize(problem, seed, paths, num, study, out: Path) -> list[Path]:
+    spec = _regression_spec(num, problem, paths)
     control0 = _base_control(problem, study)
     final, trace = optimize_control(problem, control0,
                                     iterations=study.get("iterations", 50),
                                     step_rule=study.get("step", 0.5),
-                                    n_paths=paths, seed=seed,
-                                    spec=_regression_spec(num))
+                                    n_paths=paths, seed=seed, spec=spec)
     rows = [{"iteration": i, "J": trace["J"][i], "stderr": trace["stderr"][i],
              "grad_norm": trace["grad_norm"][i] if i < len(trace["grad_norm"]) else 0.0}
             for i in range(len(trace["J"]))]
@@ -426,7 +429,7 @@ def _run_optimize(problem, seed, paths, num, study, out: Path) -> list[Path]:
               [{"step": n, "u": final.values[n]} for n in range(len(final))])
 
     ens = problem.ensemble(final, paths, seed)
-    sol = solve_adjoint_regression(problem, ens, _regression_spec(num), compute_q=False)
+    sol = solve_adjoint_regression(problem, ens, spec, compute_q=False)
     report = check_maximum_principle(problem, final, sol, tol=study.get("tol", 1e-2))
     write_json(out / "optimize.json", {
         "J_initial": trace["J"][0], "J_final": trace["J"][-1],
@@ -441,6 +444,7 @@ def _run_selftest(problem, seed, paths, num, study, out: Path) -> list[Path]:
     checks = {}
     lq = problem if problem.name == "lq-1d" else catalog_problem("lq-1d", seed=seed)
     domain = lq.domain
+    RegressionSpec().check_paths(domain.n_modes, min(paths, 500))
 
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(domain.n_modes)

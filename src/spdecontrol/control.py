@@ -9,6 +9,8 @@ and is evaluated by spectral reconstruction at the points).
 Controls here are deterministic piecewise-constant processes; the
 Hamiltonian inequality is therefore checked in ensemble-averaged form,
 which is also what the spike-variation argument yields for this class.
+One batched evaluator, ``hamiltonian``, gives both H (for that check) and
+d_u H (the descent direction of the optimizer).
 """
 
 from __future__ import annotations
@@ -65,24 +67,21 @@ class CostSpec:
 
     # -- measure integrals, vectorized over a path batch -------------------
 
-    def _point_eval(self, domain: SpectralDomain, modes: np.ndarray) -> np.ndarray:
-        basis = domain.evaluate_modes(self.measure.points)       # (n_pts, N)
-        return modes @ basis.T                                   # (P, n_pts)
-
     def integrate(self, domain: SpectralDomain, modes: np.ndarray, density) -> np.ndarray:
         """integral density(X(xi)) mu(dxi) for each path; modes is (P, N).
 
         The Lebesgue quadrature pairs the interior collocation sum with the
         boundary nodes, where the state vanishes (Dirichlet), so constant
-        densities integrate exactly to their measure-pi^d value.
+        densities integrate exactly to their measure-pi^d value.  Leading
+        axes the density adds (one per control value) stay before the paths.
         """
         modes = np.atleast_2d(modes)
         if self.measure.kind == "lebesgue":
             interior = domain.quad_weight * np.sum(density(domain.to_field(modes)), axis=-1)
             boundary_mass = math.pi ** domain.dimension - \
                 domain.quad_weight * domain.n_modes_per_axis ** domain.dimension
-            return interior + boundary_mass * float(np.asarray(density(np.zeros(1)))[0])
-        vals = density(self._point_eval(domain, modes))
+            return interior + boundary_mass * np.asarray(density(np.zeros(1)), dtype=float)[..., 0]
+        vals = density(modes @ domain.evaluate_modes(self.measure.points).T)   # (..., P, n_pts)
         return vals @ self.measure.weights
 
     def gradient_coeffs(self, domain: SpectralDomain, modes: np.ndarray, density_dsigma) -> np.ndarray:
@@ -91,7 +90,7 @@ class CostSpec:
         if self.measure.kind == "lebesgue":
             return domain.to_coeffs(density_dsigma(domain.to_field(modes)))
         basis = domain.evaluate_modes(self.measure.points)
-        weighted = density_dsigma(self._point_eval(domain, modes)) * self.measure.weights
+        weighted = density_dsigma(modes @ basis.T) * self.measure.weights
         return weighted @ basis
 
     def running_value(self, domain, t, modes, u) -> np.ndarray:
@@ -99,11 +98,6 @@ class CostSpec:
 
     def running_gradient_coeffs(self, domain, t, modes, u) -> np.ndarray:
         return self.gradient_coeffs(domain, modes, lambda s: self.running_dsigma(t, s, u))
-
-    def running_u_derivative(self, domain, t, modes, u) -> np.ndarray:
-        if self.running_du is None:
-            raise ConfigurationError("cost density has no u-derivative configured")
-        return self.integrate(domain, modes, lambda s: self.running_du(t, s, u))
 
     def terminal_value(self, domain, modes) -> np.ndarray:
         return self.integrate(domain, modes, self.terminal)
@@ -273,17 +267,27 @@ def evaluate_cost(problem: ControlProblem, control: ControlProcess, n_paths: int
 
 # -- Hamiltonian and the maximum-principle check ---------------------------------
 
-def hamiltonian(problem: ControlProblem, t: float, u_value: float,
-                state_field: np.ndarray, p_coeffs: np.ndarray) -> float:
-    """H(t, u, x, p) = L(t, x, u) + <p, F(x, u)> in truncated coordinates."""
-    state_field = np.asarray(state_field, dtype=float)
-    p_coeffs = np.asarray(p_coeffs, dtype=float)
-    if state_field.shape != (problem.domain.n_modes,) or p_coeffs.shape != (problem.domain.n_modes,):
-        raise ShapeError("state field and p must be single vectors on the collocation grid")
-    modes = problem.domain.to_coeffs(state_field)
-    lval = float(problem.cost.running_value(problem.domain, t, modes, u_value)[0])
-    f_modes = problem.domain.to_coeffs(problem.drift.f(state_field, u_value))
-    return lval + float(np.dot(p_coeffs, f_modes))
+def hamiltonian(problem: ControlProblem, t: float, modes: np.ndarray, p: np.ndarray,
+                u, *, u_derivative: bool = False) -> np.ndarray:
+    """H(t, u, X, p) = L(t, X, u) + <p, F(X, u)> per path in truncated coordinates.
+
+    ``modes`` and ``p`` are (P, N) coefficient batches.  A scalar ``u``
+    gives a (P,) result; a (V,) array of control values gives (V, P), all
+    values sharing one transform of the state.  ``u_derivative=True``
+    returns d_u H = d_u L + <p, d_u F>, the descent direction, instead.
+    """
+    domain, cost, drift = problem.domain, problem.cost, problem.drift
+    modes, p = np.asarray(modes, dtype=float), np.asarray(p, dtype=float)
+    if modes.ndim != 2 or modes.shape[1] != domain.n_modes or p.shape != modes.shape:
+        raise ShapeError(f"modes and p must both be (P, {domain.n_modes}) coefficient batches")
+    density, reaction = (cost.running_du, drift.f_u) if u_derivative else (cost.running, drift.f)
+    if density is None or reaction is None:
+        raise ConfigurationError("d_u H needs d_u l and d_u f; catalog problems have both")
+    u = np.asarray(u, dtype=float)
+    u_grid = u[..., None, None]                 # broadcasts against the (P, N) field
+    f_coeffs = domain.to_coeffs(reaction(domain.to_field(modes), u_grid))
+    h = cost.integrate(domain, modes, lambda s: density(t, s, u_grid))
+    return np.broadcast_to(h + np.sum(p * f_coeffs, axis=-1), u.shape + modes.shape[:1])
 
 
 def check_maximum_principle(problem: ControlProblem, control: ControlProcess,
@@ -299,21 +303,12 @@ def check_maximum_principle(problem: ControlProblem, control: ControlProcess,
     ens = solution.ensemble
     if ens is None:
         raise ConfigurationError("adjoint solution does not reference its forward ensemble")
-    domain, cost, drift = problem.domain, problem.cost, problem.drift
     n_steps = len(control)
     gaps = np.empty((n_steps, len(v_samples)))
     for n in range(n_steps):
-        modes_n = ens.modes[:, n]
-        fields_n = domain.to_field(modes_n)
-        p_n = solution.p_values[:, n]
-        u_n = control.values[n]
-        l_u = cost.running_value(domain, ens.times[n], modes_n, u_n)
-        f_u = domain.to_coeffs(drift.f(fields_n, u_n))
-        h_u = l_u + np.sum(p_n * f_u, axis=1)
-        for j, v in enumerate(v_samples):
-            l_v = cost.running_value(domain, ens.times[n], modes_n, v)
-            f_v = domain.to_coeffs(drift.f(fields_n, v))
-            gaps[n, j] = float(np.mean(l_v + np.sum(p_n * f_v, axis=1) - h_u))
+        h = hamiltonian(problem, ens.times[n], ens.modes[:, n], solution.p_values[:, n],
+                        np.concatenate([[control.values[n]], v_samples]))
+        gaps[n] = np.mean(h[1:] - h[0], axis=1)
     worst = np.unravel_index(np.argmin(gaps), gaps.shape)
     return {
         "min_gap": float(gaps.min()),
@@ -342,7 +337,6 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
         raise ConfigurationError("optimizer needs d_u f and d_u l; catalog problems have both")
     seed = seed if seed is not None else problem.noise.seed
     step_fn = step_rule if callable(step_rule) else (lambda m: step_rule)
-    domain, cost, drift = problem.domain, problem.cost, problem.drift
     dt = problem.horizon / len(control)
 
     trace = {"J": [], "stderr": [], "grad_norm": []}
@@ -364,12 +358,9 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
             non_decreasing = 0
 
         sol = solve_adjoint_regression(problem, ens, spec, compute_q=False)
-        grad = np.empty(len(ctrl))
-        for n in range(len(ctrl)):
-            modes_n = ens.modes[:, n]
-            du_l = cost.running_u_derivative(domain, ens.times[n], modes_n, values[n])
-            fu = domain.to_coeffs(drift.f_u(domain.to_field(modes_n), values[n]))
-            grad[n] = float(np.mean(du_l + np.sum(sol.p_values[:, n] * fu, axis=1)))
+        grad = np.array([np.mean(hamiltonian(problem, ens.times[n], ens.modes[:, n],
+                                             sol.p_values[:, n], values[n], u_derivative=True))
+                         for n in range(len(ctrl))])
         gnorm = float(np.sqrt(np.sum(grad**2) * dt))
         trace["grad_norm"].append(gnorm)
         if gnorm < grad_tol:

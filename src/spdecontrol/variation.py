@@ -23,7 +23,7 @@ import numpy as np
 from .control import ControlProblem, cost_of_ensemble, trapezoid_weights
 from .errors import ConfigurationError, GridError
 from .forward import (ControlProcess, EnsembleStates, StateTrajectory,
-                      linearized_modes, simulate_auxiliary, simulate_ensemble)
+                      linearized_modes, simulate_ensemble)
 from .spectral import SpectralDomain
 
 

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from spdecontrol.cli import build_problem, main, run, validate_config
+import spdecontrol.cli
+import spdecontrol.forward
+from spdecontrol.cli import build_problem, main, run, validate_config, write_json
 from spdecontrol.errors import ConfigurationError
 
 
@@ -183,3 +186,22 @@ class TestRunner:
         assert rc == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["complete"] is True
+
+    @pytest.mark.parametrize("subcommand", ["adjoint-check", "smp-check", "optimize", "selftest"])
+    def test_path_budget_fails_before_simulation(self, tmp_path, monkeypatch, subcommand, capsys):
+        # lq-1d's default basis has 17 features and wants 170 paths
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the path budget was checked")
+
+        monkeypatch.setattr(spdecontrol.forward, "_exp_euler", no_simulation)
+        monkeypatch.setattr(spdecontrol.cli, "sample_convolution", no_simulation)
+        cfg = write_config(tmp_path, {"problem": "lq-1d", "numerics": {"seed": 1, "paths": 50}})
+        out = tmp_path / "out"
+        assert run(subcommand, str(cfg), str(out)) == 1
+        assert json.loads((out / "manifest.json").read_text())["complete"] is False
+        assert "wants at least 170 paths, got 50" in capsys.readouterr().err
+
+    def test_write_json_keeps_large_arrays(self, tmp_path):
+        values = np.linspace(0.0, 1.0, 100)
+        write_json(tmp_path / "a.json", {"values": values})
+        assert json.loads((tmp_path / "a.json").read_text())["values"] == values.tolist()

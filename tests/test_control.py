@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -11,7 +12,7 @@ from spdecontrol.control import (ControlProblem, CostSpec, Measure, catalog_prob
                                  cost_of_ensemble, evaluate_cost, hamiltonian,
                                  lq_exact_cost, lq_optimal_control, optimize_control,
                                  quadratic_cost, sine_profile_coeffs)
-from spdecontrol.errors import ConfigurationError
+from spdecontrol.errors import ConfigurationError, ShapeError
 from spdecontrol.forward import ControlProcess, constant_control
 from spdecontrol.noise import NoiseModel
 from spdecontrol.nonlinearity import ControlSpace, NemytskiiDrift, linear_drift
@@ -109,8 +110,7 @@ class TestEvaluateCost:
 class TestHamiltonian:
     def test_zero_p_reduces_to_running_cost(self):
         problem = catalog_problem("lq-1d", modes=8, n_steps=32)
-        field = problem.domain.to_field(problem.x0)
-        h = hamiltonian(problem, 0.0, 0.5, field, np.zeros(8))
+        h = hamiltonian(problem, 0.0, problem.x0[None], np.zeros((1, 8)), 0.5)[0]
         expected = float(problem.cost.running_value(problem.domain, 0.0,
                                                     problem.x0[None], 0.5)[0])
         assert h == pytest.approx(expected, rel=1e-12)
@@ -128,21 +128,61 @@ class TestHamiltonian:
                                  noise=NoiseModel(dom, 0.5, 0.25, 1),
                                  cost=zero_cost(), horizon=1.0,
                                  x0=np.zeros(64), n_steps=32)
-        p = np.zeros(64)
-        p[0] = 1.0
+        p = np.zeros((1, 64))
+        p[0, 0] = 1.0
         u = 0.7
-        h = hamiltonian(problem, 0.0, u, np.zeros(64), p)
+        h = hamiltonian(problem, 0.0, np.zeros((1, 64)), p, u)[0]
         assert h == pytest.approx(u * 2.0 * math.sqrt(2.0 / math.pi), rel=1e-3)
 
     def test_linearity_in_p(self):
         problem = catalog_problem("lq-1d", modes=8, n_steps=32)
-        field = problem.domain.to_field(problem.x0)
+        modes = problem.x0[None]
         rng = np.random.default_rng(0)
-        p = rng.standard_normal(8)
-        l_val = hamiltonian(problem, 0.0, 0.3, field, np.zeros(8))
-        h1 = hamiltonian(problem, 0.0, 0.3, field, p)
-        h2 = hamiltonian(problem, 0.0, 0.3, field, 2.0 * p)
+        p = rng.standard_normal((1, 8))
+        l_val = hamiltonian(problem, 0.0, modes, np.zeros((1, 8)), 0.3)[0]
+        h1 = hamiltonian(problem, 0.0, modes, p, 0.3)[0]
+        h2 = hamiltonian(problem, 0.0, modes, 2.0 * p, 0.3)[0]
         assert h2 - l_val == pytest.approx(2.0 * (h1 - l_val), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["lq-1d", "dirac-2d"])
+    def test_batch_equals_single_value_calls(self, name):
+        # lq-1d exercises the Lebesgue boundary term, dirac-2d the point masses
+        problem = catalog_problem(name, modes=8)
+        rng = np.random.default_rng(1)
+        modes = 0.3 * rng.standard_normal((5, problem.domain.n_modes))
+        p = rng.standard_normal((5, problem.domain.n_modes))
+        v = problem.control_space.sample(7)
+        for u_derivative in (False, True):
+            batch = hamiltonian(problem, 0.2, modes, p, v, u_derivative=u_derivative)
+            single = np.stack([hamiltonian(problem, 0.2, modes, p, vj,
+                                           u_derivative=u_derivative) for vj in v])
+            assert batch.shape == (7, 5)
+            assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("name", ["cubic-1d", "dirac-2d"])
+    def test_u_derivative_matches_central_difference(self, name):
+        # H is quadratic in u for the catalog problems, so the central
+        # difference is exact up to rounding
+        problem = catalog_problem(name, modes=8)
+        rng = np.random.default_rng(2)
+        modes = 0.3 * rng.standard_normal((4, problem.domain.n_modes))
+        p = rng.standard_normal((4, problem.domain.n_modes))
+        u, du = 0.3, 1e-3
+        h_plus, h_minus = hamiltonian(problem, 0.1, modes, p, np.array([u + du, u - du]))
+        fd = (h_plus - h_minus) / (2.0 * du)
+        assert np.allclose(hamiltonian(problem, 0.1, modes, p, u, u_derivative=True),
+                           fd, rtol=1e-8, atol=1e-10)
+
+    def test_shape_and_configuration_errors(self):
+        problem = catalog_problem("lq-1d", modes=8, n_steps=32)
+        with pytest.raises(ShapeError):
+            hamiltonian(problem, 0.0, np.zeros((3, 8)), np.zeros((2, 8)), 0.1)
+        with pytest.raises(ShapeError):
+            hamiltonian(problem, 0.0, np.zeros(8), np.zeros(8), 0.1)
+        problem.cost = dataclasses.replace(problem.cost, running_du=None)
+        with pytest.raises(ConfigurationError):
+            hamiltonian(problem, 0.0, np.zeros((3, 8)), np.zeros((3, 8)), 0.1,
+                        u_derivative=True)
 
 
 class TestMaximumPrinciple:
@@ -262,17 +302,12 @@ class TestOptimizer:
         du = np.sin(np.linspace(0.0, math.pi, n_steps))
         dt = problem.dt
 
-        grad = None
         ens = problem.ensemble(ControlProcess(values=u0, space=problem.control_space),
                                2000, 70)
         sol = solve_adjoint_regression(problem, ens, compute_q=False)
-        grad = np.empty(n_steps)
-        for n in range(n_steps):
-            du_l = problem.cost.running_u_derivative(problem.domain, ens.times[n],
-                                                     ens.modes[:, n], u0[n])
-            fu = problem.domain.to_coeffs(problem.drift.f_u(
-                problem.domain.to_field(ens.modes[:, n]), u0[n]))
-            grad[n] = float(np.mean(du_l + np.sum(sol.p_values[:, n] * fu, axis=1)))
+        grad = np.array([np.mean(hamiltonian(problem, ens.times[n], ens.modes[:, n],
+                                             sol.p_values[:, n], u0[n], u_derivative=True))
+                         for n in range(n_steps)])
         adjoint_dir = float(np.sum(grad * du) * dt)
 
         for h in (1e-2, 1e-3):
