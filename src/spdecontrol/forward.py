@@ -31,6 +31,9 @@ from .nonlinearity import ControlSpace, NemytskiiDrift
 from .rng import seed_sequence
 from .spectral import SpectralDomain
 
+# Sup-norm above which a simulated state counts as blown up.
+BLOWUP_BOUND = 1e6
+
 
 @dataclass
 class ControlProcess:
@@ -96,12 +99,13 @@ def _check_stability(drift: NemytskiiDrift, dt: float):
 
 def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np.ndarray,
                x0: np.ndarray, increments: np.ndarray, dt: float,
-               blowup_bound: float) -> np.ndarray:
+               blowup_bound: float, first_step: int = 0) -> np.ndarray:
     """Exponential-Euler paths driven by per-step increments of shape (P, n_steps, N).
 
     Returns modes of shape (P, n_steps + 1, N).  Before every step the
     sup-norm over all paths is checked; a non-finite value or one above
-    ``blowup_bound`` raises ``InstabilityError`` naming the step.
+    ``blowup_bound`` raises ``InstabilityError`` naming the step, counted
+    from ``first_step`` when the paths start later than t = 0.
     """
     n_paths, n_steps, n_modes = increments.shape
     decay, wdrift = _step_weights(domain, dt)
@@ -112,8 +116,10 @@ def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np
         field = domain.to_field(state)
         peak = np.max(np.abs(field))
         if not np.isfinite(peak) or peak > blowup_bound:
+            step = first_step + n
             raise InstabilityError(
-                f"state sup-norm {peak:.3e} exceeded {blowup_bound:.1e} at step {n}", step=n)
+                f"state sup-norm {peak:.3e} exceeded {blowup_bound:.1e} at step {step}",
+                step=step)
         reaction = domain.to_coeffs(drift.f(field, control_values[n]))
         state = decay * state + wdrift * reaction + increments[:, n]
         modes[:, n + 1] = state
@@ -123,7 +129,7 @@ def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np
 def simulate_state(domain: SpectralDomain, drift: NemytskiiDrift, noise: NoiseModel,
                    control: ControlProcess, x0: np.ndarray, n_steps: int, horizon: float,
                    path_seed, *, noise_increments: Optional[np.ndarray] = None,
-                   blowup_bound: float = 1e6) -> StateTrajectory:
+                   blowup_bound: float = BLOWUP_BOUND) -> StateTrajectory:
     """Sample one mild-solution path of the controlled equation.
 
     ``path_seed`` feeds the driving normals unless explicit per-step
@@ -181,7 +187,7 @@ class EnsembleStates:
 def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: NoiseModel,
                       control: ControlProcess, x0: np.ndarray, n_steps: int, horizon: float,
                       n_paths: int, root_seed: int, *, normals: Optional[np.ndarray] = None,
-                      blowup_bound: float = 1e6) -> EnsembleStates:
+                      blowup_bound: float = BLOWUP_BOUND) -> EnsembleStates:
     """Multi-path version of ``simulate_state`` (shared control).
 
     Passing the ``normals`` of an earlier ensemble reruns its noise paths
@@ -236,6 +242,8 @@ def linearized_modes(domain: SpectralDomain, drift: NemytskiiDrift,
     ``base_modes`` of shape (P, n_steps + 1, N), reusing the base normals.
     ``gamma_fn(n, base_step_modes) -> (P, N)`` may supply a state-dependent
     forcing instead of the array form.  Returns modes (P, n_steps + 1, N).
+    A non-finite solution raises ``InstabilityError`` naming the first step
+    that produced one (checked once, after the loop).
     """
     n_paths, n_plus, n_modes = base_modes.shape
     n_steps = n_plus - 1
@@ -270,6 +278,11 @@ def linearized_modes(domain: SpectralDomain, drift: NemytskiiDrift,
         else:
             y = decay * y + wdrift * forcing
         out[:, n + 1] = y
+    if not np.isfinite(out).all():
+        # row n + 1 is the result of step n, which read base_modes[:, n]
+        step = int(np.argmin(np.isfinite(out).all(axis=(0, 2)))) - 1
+        raise InstabilityError(f"linearized solution turned non-finite in step {step}",
+                               step=step)
     return out
 
 

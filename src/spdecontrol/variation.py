@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlProblem, cost_of_ensemble, trapezoid_weights
-from .errors import ConfigurationError, GridError
-from .forward import (ControlProcess, EnsembleStates, StateTrajectory,
-                      linearized_modes, simulate_ensemble)
+from .errors import ConfigurationError, GridError, InstabilityError
+from .forward import (BLOWUP_BOUND, ControlProcess, EnsembleStates, StateTrajectory,
+                      _exp_euler, linearized_modes, simulate_ensemble)
+from .noise import convolution_increments
 from .spectral import SpectralDomain
 
 
@@ -54,49 +55,82 @@ def _spike_steps(spike: SpikeConfig, dt: float, n_steps: int) -> tuple[int, int]
     return start, width
 
 
-def spike_perturb(control: ControlProcess, spike: SpikeConfig, horizon: float) -> ControlProcess:
-    """Control equal to w on the spike window and unchanged elsewhere."""
+def _spike_window(control: ControlProcess, spike: SpikeConfig,
+                  horizon: float) -> tuple[ControlProcess, int]:
+    """The spiked control and the step its window starts on."""
     n_steps = len(control)
     start, width = _spike_steps(spike, horizon / n_steps, n_steps)
     values = control.values.copy()
     values[start:start + width] = spike.w
-    return ControlProcess(values=values, space=control.space)
+    return ControlProcess(values=values, space=control.space), start
 
 
-def _mismatch_gamma_fn(domain: SpectralDomain, drift, control: ControlProcess,
-                       spiked: ControlProcess):
-    """Forcing delta F_t = F(X_t, u^eps_t) - F(X_t, u_t), zero off the spike."""
+def spike_perturb(control: ControlProcess, spike: SpikeConfig, horizon: float) -> ControlProcess:
+    """Control equal to w on the spike window and unchanged elsewhere."""
+    return _spike_window(control, spike, horizon)[0]
 
-    def gamma_fn(n, base_modes):
-        if spiked.values[n] == control.values[n]:
-            return np.zeros_like(base_modes)
-        fields = domain.to_field(base_modes)
-        diff = drift.f(fields, spiked.values[n]) - drift.f(fields, control.values[n])
-        return domain.to_coeffs(diff)
 
-    return gamma_fn
+def _spiked_ensemble(problem: ControlProblem, base: EnsembleStates,
+                     spiked: ControlProcess, start: int) -> EnsembleStates:
+    """Rerun of ``base`` under ``spiked`` on the same noise, stepped from ``start``.
+
+    Before the spike the controls agree and the noise is shared, so rows
+    ``:start`` equal the base rows bit for bit and are copied.
+    """
+    domain, dt = problem.domain, problem.horizon / len(spiked)
+    increments = convolution_increments(domain, problem.noise, base.normals[:, start:], dt)
+    tail = _exp_euler(domain, problem.drift, spiked.values[start:], base.modes[:, start],
+                      increments, dt, BLOWUP_BOUND, first_step=start)
+    modes = np.concatenate([base.modes[:, :start], tail], axis=1)
+    return EnsembleStates(domain=domain, times=base.times, modes=modes,
+                          normals=base.normals, control=spiked, root_seed=base.root_seed)
+
+
+def _first_variation_modes(domain: SpectralDomain, drift, base_modes: np.ndarray,
+                           control: ControlProcess, spike: SpikeConfig,
+                           times: np.ndarray) -> np.ndarray:
+    """Y for (P, n_steps + 1, N) base paths, solved from the spike start on.
+
+    Y is exactly zero up to the spike start, so only the rows after it are
+    stepped; the forcing is the drift mismatch and has no noise term.
+    """
+    spiked, start = _spike_window(control, spike, float(times[-1]))
+    base_values, spiked_values = control.values[start:], spiked.values[start:]
+
+    def gamma_fn(n, modes):
+        # delta F_t = F(X_t, u^eps_t) - F(X_t, u_t), zero off the spike
+        if spiked_values[n] == base_values[n]:
+            return np.zeros_like(modes)
+        fields = domain.to_field(modes)
+        return domain.to_coeffs(drift.f(fields, spiked_values[n])
+                                - drift.f(fields, base_values[n]))
+
+    out = np.zeros(base_modes.shape)
+    try:
+        out[:, start:] = linearized_modes(domain, drift, base_modes[:, start:], None,
+                                          base_values, float(times[1] - times[0]),
+                                          gamma_fn=gamma_fn)
+    except InstabilityError as err:
+        step = start + err.step
+        raise InstabilityError(f"first variation turned non-finite in step {step}",
+                               step=step) from err
+    return out
 
 
 def first_variation(domain: SpectralDomain, drift, base: StateTrajectory,
                     spike: SpikeConfig) -> StateTrajectory:
     """Linearized response Y to the spike's drift mismatch along ``base``."""
-    control = base.control
-    spiked = spike_perturb(control, spike, float(base.times[-1]))
-    gamma_fn = _mismatch_gamma_fn(domain, drift, control, spiked)
-    normals = base.normals[None] if base.normals is not None else None
-    coeffs = linearized_modes(domain, drift, base.mode_coeffs[None], normals,
-                              control.values, base.dt, gamma_fn=gamma_fn)[0]
+    coeffs = _first_variation_modes(domain, drift, base.mode_coeffs[None], base.control,
+                                    spike, base.times)[0]
     return StateTrajectory(domain=domain, times=base.times, mode_coeffs=coeffs,
-                           control=control, path_seed=base.path_seed,
+                           control=base.control, path_seed=base.path_seed,
                            normals=base.normals)
 
 
 def first_variation_ensemble(domain: SpectralDomain, drift, base: EnsembleStates,
                              spike: SpikeConfig) -> np.ndarray:
-    spiked = spike_perturb(base.control, spike, float(base.times[-1]))
-    gamma_fn = _mismatch_gamma_fn(domain, drift, base.control, spiked)
-    return linearized_modes(domain, drift, base.modes, base.normals,
-                            base.control.values, base.dt, gamma_fn=gamma_fn)
+    return _first_variation_modes(domain, drift, base.modes, base.control, spike,
+                                  base.times)
 
 
 def fit_loglog(epsilons, estimates, stderrs=None, drop_rel_stderr: float = 0.25):
@@ -146,11 +180,12 @@ def spike_order_study(problem: ControlProblem, control: ControlProcess,
     sup2 = {}
     for eps in epsilons:
         spike = SpikeConfig(t0=t0, epsilon=eps, w=w)
-        spiked_control = spike_perturb(control, spike, problem.horizon)
-        perturbed = problem.ensemble(spiked_control, n_paths, seed, normals=base.normals)
-        y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
+        spiked_control, start = _spike_window(control, spike, problem.horizon)
+        perturbed = _spiked_ensemble(problem, base, spiked_control, start)
+        y_modes = first_variation_ensemble(domain, problem.drift, base, spike)[:, start:]
 
-        xi = perturbed.modes - base.modes
+        # rows before the spike are exactly zero in all three
+        xi = perturbed.modes[:, start:] - base.modes[:, start:]
         eta = xi - y_modes
         for label, arr in (("xi", xi), ("Y", y_modes), ("eta", eta)):
             sup_t = np.max(domain.sup_norm(arr), axis=1) ** 2     # per path
@@ -192,14 +227,14 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
     rows = []
     for eps in epsilons:
         spike = SpikeConfig(t0=t0, epsilon=eps, w=w)
-        spiked_control = spike_perturb(control, spike, problem.horizon)
-        perturbed = problem.ensemble(spiked_control, n_paths, seed, normals=base.normals)
+        spiked_control, start = _spike_window(control, spike, problem.horizon)
+        perturbed = _spiked_ensemble(problem, base, spiked_control, start)
         j_spiked = cost_of_ensemble(problem, perturbed)
         delta_j = float((j_spiked - j_base).mean())
 
         y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
         first_order = np.zeros(base.n_paths)
-        for n in range(n_steps + 1):
+        for n in range(start, n_steps + 1):     # Y and delta L vanish before the spike
             u_n = control.values[min(n, n_steps - 1)]
             ue_n = spiked_control.values[min(n, n_steps - 1)]
             if ue_n != u_n:
