@@ -11,7 +11,9 @@ convolution.
 One core, ``_exp_euler``, holds the nonlinear step and its blow-up guard
 for a batch of paths: ``simulate_ensemble`` drives it with per-path
 normals (fresh, or those of an earlier ensemble to rerun its noise under
-another control) and ``simulate_state`` with a batch of one.
+another control), ``simulate_state`` with a batch of one, and the spike
+reruns of ``variation`` from the base states at the spike start with the
+base normals from there on.
 ``linearized_modes`` solves the linearized equation with forcings
 (gamma, eta) along a batch of base paths, reusing their normals, which is
 what the spike-variation and duality machinery need.
@@ -191,7 +193,7 @@ def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: Nois
     """Multi-path version of ``simulate_state`` (shared control).
 
     Passing the ``normals`` of an earlier ensemble reruns its noise paths
-    under another control, which is how spike variations are simulated.
+    under another control from t = 0.
     """
     if len(control) != n_steps:
         raise ShapeError(f"control has {len(control)} values for {n_steps} steps")

@@ -75,7 +75,7 @@ def cubic_drift(a: float = 1.0, b: float = 1.0, u_bound: float = 1.0) -> Nemytsk
     """f(sigma, u) = -sigma^3 + a*sigma + b*u, dissipative with beta = a."""
     growth_const = 4.0 + 2.0 * abs(a) + abs(b) * u_bound
     return NemytskiiDrift(
-        f=lambda s, u: -s**3 + a * s + b * u,
+        f=lambda s, u: -(s * s * s) + a * s + b * u,
         f_prime=lambda s, u: -3.0 * s**2 + a,
         growth_degree=3,
         growth_const=growth_const,
@@ -103,7 +103,7 @@ def linear_drift(u_bound: float = 1.0) -> NemytskiiDrift:
 def bistable_drift(u_bound: float = 1.0) -> NemytskiiDrift:
     """f(sigma, u) = sigma - sigma^3 + u (double-well reaction)."""
     return NemytskiiDrift(
-        f=lambda s, u: s - s**3 + u,
+        f=lambda s, u: s - s * s * s + u,
         f_prime=lambda s, u: 1.0 - 3.0 * s**2,
         growth_degree=3,
         growth_const=6.0 + u_bound,

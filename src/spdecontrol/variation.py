@@ -3,8 +3,10 @@
 A spike replaces the control on a short window [t0, t0 + eps) and the
 perturbed state is rerun with the identical noise path (the ensemble
 stepper driven by the base ensemble's normals), so the pathwise
-differences isolate the control effect.  The studies here fit the growth
-orders in eps of
+differences isolate the control effect.  Before t0 the spiked rerun equals
+the base bit for bit and the first variation is exactly zero, so both are
+stepped from the spike start only, on the base's noise, and the prefix is
+copied or left zero.  The studies here fit the growth orders in eps of
 
     xi  = X_spiked - X          (first-order response, O(eps)),
     Y   = solution of the linearized equation forced by the drift mismatch,
@@ -138,6 +140,7 @@ def fit_loglog(epsilons, estimates, stderrs=None, drop_rel_stderr: float = 0.25)
 
     The smallest epsilon is dropped when its Monte Carlo relative standard
     error exceeds ``drop_rel_stderr`` (variance dominates bias there).
+    A fit that cannot be made returns NaNs and a ``"reason"``.
     """
     eps = np.asarray(epsilons, dtype=float)
     vals = np.asarray(estimates, dtype=float)
@@ -146,9 +149,16 @@ def fit_loglog(epsilons, estimates, stderrs=None, drop_rel_stderr: float = 0.25)
         smallest = int(np.argmin(eps))
         if vals[smallest] <= 0 or stderrs[smallest] / max(vals[smallest], 1e-300) > drop_rel_stderr:
             keep[smallest] = False
-    if np.any(vals[keep] <= 0):
+    bad = keep & ~(vals > 0)
+    reason = None
+    if keep.sum() < 2:
+        reason = f"fewer than 2 points to fit ({int(keep.sum())} kept of {eps.size})"
+    elif bad.any():
+        i = int(np.argmax(bad))
+        reason = f"non-positive or NaN estimate {float(vals[i])!r} at epsilon={float(eps[i])!r}"
+    if reason is not None:
         return {"slope": float("nan"), "intercept": float("nan"), "stderr": float("nan"),
-                "used": int(keep.sum())}
+                "used": int(keep.sum()), "reason": reason}
     x, y = np.log(eps[keep]), np.log(vals[keep])
     if x.size == 2:
         slope = (y[1] - y[0]) / (x[1] - x[0])

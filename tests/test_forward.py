@@ -5,7 +5,7 @@ import pytest
 
 from spdecontrol.errors import (ConfigurationError, InstabilityError, ShapeError)
 from spdecontrol.forward import (ControlProcess, constant_control, estimate_forward_bound,
-                                 read_binary_trajectory, simulate_auxiliary,
+                                 linearized_modes, read_binary_trajectory, simulate_auxiliary,
                                  simulate_ensemble, simulate_state, trajectory_to_binary,
                                  trajectory_to_csv, weight_cell_integrals)
 from spdecontrol.noise import (NoiseModel, aggregate_increments, convolution_increments,
@@ -211,6 +211,15 @@ class TestAuxiliary:
         aux = simulate_auxiliary(dom, ZERO_DRIFT, base, ctrl, forcing_eta=eta)
         assert np.any(aux.mode_coeffs[:, 0] != 0.0)
         assert np.all(aux.mode_coeffs[:, 1:] == 0.0)
+
+    def test_nonfinite_solution_names_step(self):
+        dom, _, ctrl, base = self._base(cubic_drift())
+        modes = np.repeat(base.mode_coeffs[None], 3, axis=0)
+        modes[1, 5, 2] = np.nan
+        with pytest.raises(InstabilityError, match="step 5") as err:
+            linearized_modes(dom, cubic_drift(), modes, None, ctrl.values, base.dt,
+                             forcing_gamma=np.ones(dom.n_modes))
+        assert err.value.step == 5
 
 
 class TestForwardBound:

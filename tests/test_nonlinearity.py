@@ -76,6 +76,16 @@ class TestDriftCatalog:
         assert errs[0] < 1e-4
         assert errs[1] < errs[0] / 3.0   # O(h^2) central differences
 
+    @pytest.mark.parametrize("drift", [cubic_drift(), bistable_drift()])
+    def test_cube_by_multiplication_matches_power(self, drift):
+        # both drifts cube as s * s * s and have linear part s at u = 0;
+        # removing it leaves -s**3 to rounding (|s| >= 1.5 keeps that
+        # subtraction from cancelling)
+        rng = np.random.default_rng(17)
+        s = rng.choice([-1.0, 1.0], (200, 64)) * rng.uniform(1.5, 25.0, (200, 64))
+        assert np.any(s < 0) and np.any(np.abs(s) > 10)
+        np.testing.assert_allclose(drift.f(s, 0.0) - s, -s**3, rtol=1e-15, atol=0)
+
     def test_quasi_dissipativity_inner_product(self):
         drift = cubic_drift()
         rng = np.random.default_rng(3)

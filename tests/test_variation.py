@@ -1,16 +1,24 @@
+import copy
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdecontrol.forward
+import spdecontrol.variation
 from spdecontrol.control import catalog_problem, constant_control_for
-from spdecontrol.errors import ConfigurationError, GridError
-from spdecontrol.forward import constant_control, simulate_state
+from spdecontrol.errors import ConfigurationError, GridError, InstabilityError
+from spdecontrol.forward import constant_control, linearized_modes, simulate_state
 from spdecontrol.noise import NoiseModel
 from spdecontrol.nonlinearity import ControlSpace, linear_drift
 from spdecontrol.spectral import make_domain
-from spdecontrol.variation import (SpikeConfig, cost_expansion_check, first_variation,
-                                   fit_loglog, spike_order_study, spike_perturb)
+from spdecontrol.variation import (SpikeConfig, _spiked_ensemble, cost_expansion_check,
+                                   first_variation, first_variation_ensemble, fit_loglog,
+                                   spike_order_study, spike_perturb)
 
 SPACE = ControlSpace(kind="interval", lower=-1.0, upper=1.0)
 
@@ -179,6 +187,132 @@ class TestSpikeOrderStudy:
             spike_order_study(problem, control, 0.8, 0.5, [1 / 8, 1 / 16], n_paths=4)
 
 
+class TestSpikeWindow:
+    """Stepping from the spike start gives the full-horizon bits."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def cubic():
+        problem = catalog_problem("cubic-1d", modes=32, n_steps=128, seed=41)
+        control = constant_control_for(problem, 0.0)
+        return problem, control, problem.ensemble(control, 16, 41)
+
+    # t0 = T/2 and the earliest legal start, one step in
+    SPIKES = [SpikeConfig(0.5, 0.125, 0.8), SpikeConfig(1 / 128, 1 / 32, -0.6)]
+
+    @pytest.mark.parametrize("spike", SPIKES)
+    def test_rerun_equals_full_horizon_rerun(self, cubic, spike):
+        problem, control, base = cubic
+        spiked = spike_perturb(control, spike, problem.horizon)
+        start = int(round(spike.t0 / base.dt))
+        window = _spiked_ensemble(problem, base, spiked, start)
+        full = problem.ensemble(spiked, base.n_paths, 41, normals=base.normals)
+        assert np.array_equal(window.modes, full.modes)
+        assert window.control is spiked and window.normals is base.normals
+
+    @pytest.mark.parametrize("spike", SPIKES)
+    def test_first_variation_equals_full_horizon_solve(self, cubic, spike):
+        problem, control, base = cubic
+        dom, drift = problem.domain, problem.drift
+        spiked = spike_perturb(control, spike, problem.horizon)
+
+        def gamma_fn(n, modes):
+            fields = dom.to_field(modes)
+            if spiked.values[n] == control.values[n]:
+                return np.zeros_like(modes)
+            return dom.to_coeffs(drift.f(fields, spiked.values[n])
+                                 - drift.f(fields, control.values[n]))
+
+        reference = linearized_modes(dom, drift, base.modes, base.normals, control.values,
+                                     base.dt, gamma_fn=gamma_fn)
+        y = first_variation_ensemble(dom, drift, base, spike)
+        assert np.array_equal(y, reference)
+        start = int(round(spike.t0 / base.dt))
+        assert np.all(y[:, :start + 1] == 0.0) and np.any(y[:, start + 1] != 0.0)
+
+    def test_single_path_equals_ensemble_row(self, cubic):
+        problem, _, base = cubic
+        spike = self.SPIKES[0]
+        y = first_variation(problem.domain, problem.drift, base.trajectory(0), spike)
+        ensemble = first_variation_ensemble(problem.domain, problem.drift, base, spike)[0]
+        # the same solve on a batch of one; BLAS may round a one-row product
+        # differently from a 16-row one, so equality is to rounding
+        start = int(round(spike.t0 / base.dt))
+        assert np.all(y.mode_coeffs[:start + 1] == 0.0)
+        np.testing.assert_allclose(y.mode_coeffs, ensemble, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(ensemble)))
+
+    def test_failures_name_the_absolute_step(self, cubic):
+        problem, control, base = cubic
+        spike = self.SPIKES[0]
+        start = int(round(spike.t0 / base.dt))
+        broken = copy.copy(base)
+        broken.modes = base.modes.copy()
+        broken.modes[3, start + 4, 0] = np.nan
+        with pytest.raises(InstabilityError, match=f"step {start + 4}") as err:
+            first_variation_ensemble(problem.domain, problem.drift, broken, spike)
+        assert err.value.step == start + 4
+        broken.modes[3, start, 0] = 1e7
+        spiked = spike_perturb(control, spike, problem.horizon)
+        with pytest.raises(InstabilityError, match=f"step {start}") as err:
+            _spiked_ensemble(problem, broken, spiked, start)
+        assert err.value.step == start
+
+    def test_study_steps_only_after_the_spike(self, monkeypatch):
+        # the base is stepped once over the horizon, every epsilon only from the spike on
+        stepped = {"exp_euler": [], "linearized": []}
+        exp_euler, linearized = spdecontrol.forward._exp_euler, linearized_modes
+
+        def counting_exp_euler(domain, drift, values, x0, increments, *args, **kwargs):
+            stepped["exp_euler"].append(increments.shape[1])
+            return exp_euler(domain, drift, values, x0, increments, *args, **kwargs)
+
+        def counting_linearized(domain, drift, base_modes, *args, **kwargs):
+            stepped["linearized"].append(base_modes.shape[1] - 1)
+            return linearized(domain, drift, base_modes, *args, **kwargs)
+
+        for module in (spdecontrol.forward, spdecontrol.variation):
+            monkeypatch.setattr(module, "_exp_euler", counting_exp_euler)
+            monkeypatch.setattr(module, "linearized_modes", counting_linearized)
+        problem = catalog_problem("cubic-1d", modes=16, n_steps=64, seed=42)
+        control = constant_control_for(problem, 0.0)
+        spike_order_study(problem, control, w=0.8, t0=0.5,
+                          epsilons=[1 / 8, 1 / 16, 1 / 32], n_paths=8, seed=42)
+        start = 32
+        assert stepped == {"exp_euler": [64] + [64 - start] * 3,
+                           "linearized": [64 - start] * 3}
+
+
+_SPIKE_MANIFESTS = """
+import json, pathlib, sys
+from spdecontrol.cli import run
+root = pathlib.Path(sys.argv[1])
+for problem in ("cubic-1d", "lq-1d"):
+    config = root / f"{problem}.json"
+    config.write_text(json.dumps({"problem": problem,
+                                  "overrides": {"modes": 16, "n_steps": 64},
+                                  "numerics": {"paths": 32, "seed": 7}}))
+    for sub in ("spike-orders", "cost-expansion"):
+        out = root / f"{problem}-{sub}"
+        assert run(sub, str(config), str(out)) == 0
+        print((out / "manifest.json").read_text())
+"""
+
+
+def test_spike_study_bytes_independent_of_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    manifests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        (tmp_path / threads).mkdir()
+        run = subprocess.run([sys.executable, "-c", _SPIKE_MANIFESTS, str(tmp_path / threads)],
+                             env=env, capture_output=True, text=True, timeout=300, check=True)
+        manifests.append(run.stdout)
+    assert manifests[0].count('"complete": true') == 4
+    assert manifests[0] == manifests[1]
+
+
 class TestCostExpansion:
     def test_noop_spike_zero_residual(self):
         problem = catalog_problem("lq-1d", modes=8, n_steps=64, seed=35)
@@ -227,3 +361,15 @@ class TestFitLogLog:
         fit_drop = fit_loglog(eps, vals, stderrs=[1e-4, 1e-4, 9e-4])
         assert fit_all["used"] == 3
         assert fit_drop["used"] == 2
+        assert "reason" not in fit_all and "reason" not in fit_drop
+
+    def test_nan_fits_give_a_reason(self):
+        eps = [0.03125, 0.015625, 0.0078125]
+        fit = fit_loglog(eps, [1e-3, 2e-4, -1e-9])
+        assert math.isnan(fit["slope"]) and fit["used"] == 3
+        assert fit["reason"] == "non-positive or NaN estimate -1e-09 at epsilon=0.0078125"
+        fit = fit_loglog(eps, [1e-3, float("nan"), 1e-5])
+        assert "at epsilon=0.015625" in fit["reason"]
+        fit = fit_loglog([0.1], [1e-2])
+        assert math.isnan(fit["slope"]) and fit["used"] == 1
+        assert fit["reason"].startswith("fewer than 2 points")
