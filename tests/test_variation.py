@@ -217,9 +217,9 @@ class TestSpikeWindow:
         spiked = spike_perturb(control, spike, problem.horizon)
 
         def gamma_fn(n, modes):
-            fields = dom.to_field(modes)
             if spiked.values[n] == control.values[n]:
                 return np.zeros_like(modes)
+            fields = dom.to_field(modes)
             return dom.to_coeffs(drift.f(fields, spiked.values[n])
                                  - drift.f(fields, control.values[n]))
 
