@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, RegressionError, ShapeError
+from .errors import ConfigurationError, InstabilityError, RegressionError, ShapeError
 from .forward import (EnsembleStates, linearized_modes, simulate_ensemble,
                       weight_cell_integrals, _step_weights)
 from .rng import make_rng
@@ -156,7 +156,9 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
     ``terminal`` is a (P, N) coefficient array (zero if None); ``forcing_fn``
     maps (step, state modes (P, N)) to the running-forcing coefficients.
     The F_n-measurable forcing is added outside the regression; only the
-    genuinely future-measurable part is conditioned.
+    genuinely future-measurable part is conditioned.  A non-finite p raises
+    ``InstabilityError`` naming the step that produced it first (step n
+    fills node n; checked once, after the loop).
     """
     spec = spec or RegressionSpec()
     modes = ensemble.modes
@@ -218,6 +220,10 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
         diagnostics.append(diag)
         p_next = p_fit
 
+    if not np.isfinite(p_values).all():
+        # the sweep runs backwards: the highest non-finite row came first
+        step = int(np.flatnonzero(~np.isfinite(p_values).all(axis=(0, 2)))[-1])
+        raise InstabilityError(f"adjoint p turned non-finite in step {step}", step=step)
     diagnostics.reverse()
     return AdjointSolution(domain=domain, times=ensemble.times, p_values=p_values,
                            mean_q=mean_q, p_weighted_per_path=ip,
@@ -251,37 +257,52 @@ def solve_adjoint_regression(problem, ensemble: EnsembleStates,
 
 def duality_residual(problem, forcing_gamma=None, forcing_eta=None, n_paths: int = 500, *,
                      control=None, seed: Optional[int] = None,
-                     spec: RegressionSpec = None, n_steps: Optional[int] = None) -> dict:
+                     spec: RegressionSpec = None, n_steps: Optional[int] = None,
+                     solution: Optional[AdjointSolution] = None) -> dict:
     """Monte Carlo check of the pairing that defines (p, q).
 
     Both sides of  E int <p, gamma> dt + E int <q, eta> dt
                  = E int <f, y> dt + E <zeta, y(T)>
     are estimated on a common ensemble and noise streams; the returned
     relative residual is |LHS - RHS| / (|LHS| + |RHS| + floor).
-    """
-    from .control import constant_control_for  # local import to avoid a cycle
 
-    domain = problem.domain
-    n_steps = n_steps or problem.n_steps
-    control = control if control is not None else constant_control_for(problem, 0.0, n_steps)
-    seed = seed if seed is not None else problem.noise.seed
-    ens = simulate_ensemble(domain, problem.drift, problem.noise, control, problem.x0,
-                            n_steps, problem.horizon, n_paths, seed)
-    sol = solve_adjoint_regression(problem, ens, spec,
-                                   compute_q=forcing_eta is not None)
-    dt = ens.dt
+    Without ``solution`` this simulates an ensemble under ``control`` (zero
+    by default), sweeps it (with q only for an eta forcing) and pairs.
+    Given a ``solution`` that references its forward ensemble, it only
+    pairs: several forcings then share one ensemble and one sweep, and
+    ``n_paths``, ``control``, ``seed``, ``spec`` and ``n_steps`` are unused.
+    p does not depend on whether q was computed, and ``sobolev_s`` only
+    weights the q norm, so either route gives the same bytes.
+    """
+    if solution is None:
+        from .control import constant_control_for  # local import to avoid a cycle
+
+        n_steps = n_steps or problem.n_steps
+        control = control if control is not None else constant_control_for(problem, 0.0, n_steps)
+        seed = seed if seed is not None else problem.noise.seed
+        ens = simulate_ensemble(problem.domain, problem.drift, problem.noise, control,
+                                problem.x0, n_steps, problem.horizon, n_paths, seed)
+        solution = solve_adjoint_regression(problem, ens, spec,
+                                            compute_q=forcing_eta is not None)
+    ens = solution.ensemble
+    if ens is None:
+        raise ConfigurationError("adjoint solution does not reference its forward ensemble")
+    if forcing_eta is not None and solution.mean_q is None:
+        raise ConfigurationError("an eta forcing pairs with q: sweep with compute_q=True")
+    domain, control = problem.domain, ens.control
+    n_paths, n_steps, dt = ens.n_paths, len(control), ens.dt
 
     lhs = 0.0
     if forcing_gamma is not None:
         g = np.asarray(forcing_gamma, dtype=float)
         if g.ndim == 1:
             g = np.broadcast_to(g, (n_steps, g.size))
-        lhs += float(np.sum(sol.p_mean[:-1] * g) * dt)
+        lhs += float(np.sum(solution.p_mean[:-1] * g) * dt)
     if forcing_eta is not None:
         e = np.asarray(forcing_eta, dtype=float)
         if e.ndim == 1:
             e = np.diag(e)
-        lhs += float(np.einsum("nkj,kj->", sol.mean_q, e) * dt)
+        lhs += float(np.einsum("nkj,kj->", solution.mean_q, e) * dt)
 
     y = linearized_modes(domain, problem.drift, ens.modes, ens.normals,
                          control.values, dt, forcing_gamma=forcing_gamma,

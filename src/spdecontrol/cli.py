@@ -375,15 +375,19 @@ def _run_adjoint_check(problem, seed, paths, num, study, out: Path) -> list[Path
     gamma[:, 0] = 1.0
     if domain.n_modes > 2:
         gamma[:, 2] = 0.3
-    res_gamma = duality_residual(problem, forcing_gamma=gamma, n_paths=paths,
-                                 seed=seed, spec=spec)
-    res_eta = duality_residual(problem, forcing_eta=problem.noise.b_coeffs,
-                               n_paths=paths, seed=seed, spec=spec)
 
+    # the pairings run under the zero control; the norms under the study's control,
+    # which shares their ensemble and sweep when it is zero (bitwise, so -0.0 is not)
     control = _base_control(problem, study)
-    ens = problem.ensemble(control, paths, seed)
-    sol = solve_adjoint_regression(problem, ens, spec,
+    sol = solve_adjoint_regression(problem, problem.ensemble(control, paths, seed), spec,
                                    sobolev_s=num.get("sobolev_s"))
+    paired = sol
+    zero = constant_control_for(problem, 0.0)
+    if control.values.tobytes() != zero.values.tobytes():
+        paired = solve_adjoint_regression(problem, problem.ensemble(zero, paths, seed), spec)
+    res_gamma = duality_residual(problem, forcing_gamma=gamma, solution=paired)
+    res_eta = duality_residual(problem, forcing_eta=problem.noise.b_coeffs, solution=paired)
+
     norms = weighted_norm_report(sol, r_prime=num.get("r_prime", 1.5))
     write_json(out / "adjoint_check.json", {
         "duality_gamma": res_gamma, "duality_eta": res_eta,
@@ -428,8 +432,7 @@ def _run_optimize(problem, seed, paths, num, study, out: Path) -> list[Path]:
     write_csv(out / "control.csv", ["step", "u"],
               [{"step": n, "u": final.values[n]} for n in range(len(final))])
 
-    ens = problem.ensemble(final, paths, seed)
-    sol = solve_adjoint_regression(problem, ens, spec, compute_q=False)
+    sol = solve_adjoint_regression(problem, trace["ensemble"], spec, compute_q=False)
     report = check_maximum_principle(problem, final, sol, tol=study.get("tol", 1e-2))
     write_json(out / "optimize.json", {
         "J_initial": trace["J"][0], "J_final": trace["J"][-1],

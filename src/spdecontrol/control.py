@@ -331,7 +331,11 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
 
     The descent direction is the adjoint-based Hamiltonian gradient
     d_u H = d_u L + <p, d_u F>; iterations share one set of noise streams
-    (common random numbers) so the recorded costs are comparable.
+    (common random numbers) so the recorded costs are comparable: the
+    normals are drawn once, by the first ensemble, and every later one
+    reuses them.  The trace holds the per-iteration "J", "stderr" and
+    "grad_norm" lists and, as "ensemble", the ensemble under the returned
+    control, so a caller need not simulate it again.
     """
     if problem.drift.f_u is None or problem.cost.running_du is None:
         raise ConfigurationError("optimizer needs d_u f and d_u l; catalog problems have both")
@@ -342,9 +346,11 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
     trace = {"J": [], "stderr": [], "grad_norm": []}
     non_decreasing = 0
     values = control.values.copy()
+    normals = None
     for m in range(iterations):
         ctrl = ControlProcess(values=values, space=problem.control_space)
-        ens = problem.ensemble(ctrl, n_paths, seed)
+        ens = problem.ensemble(ctrl, n_paths, seed, normals=normals)
+        normals = ens.normals
         costs = cost_of_ensemble(problem, ens)
         trace["J"].append(float(costs.mean()))
         trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
@@ -368,10 +374,11 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
         values = problem.control_space.project(values - step_fn(m) * grad)
 
     final = ControlProcess(values=values, space=problem.control_space)
-    ens = problem.ensemble(final, n_paths, seed)
+    ens = problem.ensemble(final, n_paths, seed, normals=normals)
     costs = cost_of_ensemble(problem, ens)
     trace["J"].append(float(costs.mean()))
     trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
+    trace["ensemble"] = ens
     return final, trace
 
 

@@ -104,17 +104,18 @@ def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np
                blowup_bound: float, first_step: int = 0) -> np.ndarray:
     """Exponential-Euler paths driven by per-step increments of shape (P, n_steps, N).
 
-    Returns modes of shape (P, n_steps + 1, N).  Before every step the
-    sup-norm over all paths is checked; a non-finite value or one above
-    ``blowup_bound`` raises ``InstabilityError`` naming the step, counted
-    from ``first_step`` when the paths start later than t = 0.
+    Returns modes of shape (P, n_steps + 1, N).  The sup-norm over all
+    paths is checked at every grid node, the last one included; a
+    non-finite value or one above ``blowup_bound`` raises
+    ``InstabilityError`` naming the node, counted from ``first_step`` when
+    the paths start later than t = 0.
     """
     n_paths, n_steps, n_modes = increments.shape
     decay, wdrift = _step_weights(domain, dt)
     modes = np.empty((n_paths, n_steps + 1, n_modes))
     state = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, n_modes)).copy()
     modes[:, 0] = state
-    for n in range(n_steps):
+    for n in range(n_steps + 1):
         field = domain.to_field(state)
         peak = np.max(np.abs(field))
         if not np.isfinite(peak) or peak > blowup_bound:
@@ -122,6 +123,8 @@ def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np
             raise InstabilityError(
                 f"state sup-norm {peak:.3e} exceeded {blowup_bound:.1e} at step {step}",
                 step=step)
+        if n == n_steps:
+            break
         reaction = domain.to_coeffs(drift.f(field, control_values[n]))
         state = decay * state + wdrift * reaction + increments[:, n]
         modes[:, n + 1] = state
@@ -237,7 +240,7 @@ def _eta_at(forcing_eta, n: int):
 def linearized_modes(domain: SpectralDomain, drift: NemytskiiDrift,
                      base_modes: np.ndarray, normals, control_values: np.ndarray,
                      dt: float, forcing_gamma=None, forcing_eta=None,
-                     gamma_fn=None, drift_active: bool = True) -> np.ndarray:
+                     gamma_fn=None) -> np.ndarray:
     """Vectorized linearized dynamics along a batch of base paths.
 
     Solves dy = [A y + f'(X_t, u_t) y + gamma] dt + eta dW with y(0) = 0 for
@@ -267,9 +270,8 @@ def linearized_modes(domain: SpectralDomain, drift: NemytskiiDrift,
             forcing += _gamma_at(gamma_arr, n, n_modes)
         if gamma_fn is not None:
             forcing += gamma_fn(n, base_modes[:, n])
-        if drift_active:
-            mult = drift.f_prime(domain.to_field(base_modes[:, n]), control_values[n])
-            forcing += domain.to_coeffs(mult * domain.to_field(y))
+        mult = drift.f_prime(domain.to_field(base_modes[:, n]), control_values[n])
+        forcing += domain.to_coeffs(mult * domain.to_field(y))
         eta_n = _eta_at(forcing_eta, n)
         if eta_n is not None:
             eta_n = np.asarray(eta_n, dtype=float)
@@ -290,8 +292,7 @@ def linearized_modes(domain: SpectralDomain, drift: NemytskiiDrift,
 
 def simulate_auxiliary(domain: SpectralDomain, drift: NemytskiiDrift,
                        base: StateTrajectory, control: ControlProcess,
-                       forcing_gamma=None, forcing_eta=None, *,
-                       drift_active: bool = True) -> StateTrajectory:
+                       forcing_gamma=None, forcing_eta=None) -> StateTrajectory:
     """Linearized dynamics along ``base`` with forcings (gamma, eta).
 
     dy = [A y + f'(X_t, u_t) y + gamma] dt + eta dW,  y(0) = 0, where the
@@ -304,7 +305,7 @@ def simulate_auxiliary(domain: SpectralDomain, drift: NemytskiiDrift,
     normals = base.normals[None] if base.normals is not None else None
     coeffs = linearized_modes(domain, drift, base.mode_coeffs[None], normals,
                               control.values, base.dt, forcing_gamma=forcing_gamma,
-                              forcing_eta=forcing_eta, drift_active=drift_active)[0]
+                              forcing_eta=forcing_eta)[0]
     return StateTrajectory(domain=domain, times=base.times, mode_coeffs=coeffs,
                            control=control, path_seed=base.path_seed,
                            normals=base.normals)

@@ -5,8 +5,10 @@ perturbed state is rerun with the identical noise path (the ensemble
 stepper driven by the base ensemble's normals), so the pathwise
 differences isolate the control effect.  Before t0 the spiked rerun equals
 the base bit for bit and the first variation is exactly zero, so both are
-stepped from the spike start only, on the base's noise, and the prefix is
-copied or left zero.  The studies here fit the growth orders in eps of
+stepped from the spike start only, on the base's noise.  The order study
+uses only those rows; the cost expansion copies the base prefix into the
+rerun, whose full cost it needs.  The studies here fit the growth orders
+in eps of
 
     xi  = X_spiked - X          (first-order response, O(eps)),
     Y   = solution of the linearized equation forced by the drift mismatch,
@@ -72,29 +74,37 @@ def spike_perturb(control: ControlProcess, spike: SpikeConfig, horizon: float) -
     return _spike_window(control, spike, horizon)[0]
 
 
-def _spiked_ensemble(problem: ControlProblem, base: EnsembleStates,
-                     spiked: ControlProcess, start: int) -> EnsembleStates:
-    """Rerun of ``base`` under ``spiked`` on the same noise, stepped from ``start``.
+def _spiked_tail(problem: ControlProblem, base: EnsembleStates,
+                 spiked: ControlProcess, start: int) -> np.ndarray:
+    """Rows ``start:`` of the rerun of ``base`` under ``spiked`` on the same noise.
 
-    Before the spike the controls agree and the noise is shared, so rows
-    ``:start`` equal the base rows bit for bit and are copied.
+    Before the spike the controls agree and the noise is shared, so the
+    rerun's rows ``:start`` equal the base rows bit for bit.
     """
     domain, dt = problem.domain, problem.horizon / len(spiked)
     increments = convolution_increments(domain, problem.noise, base.normals[:, start:], dt)
-    tail = _exp_euler(domain, problem.drift, spiked.values[start:], base.modes[:, start],
+    return _exp_euler(domain, problem.drift, spiked.values[start:], base.modes[:, start],
                       increments, dt, BLOWUP_BOUND, first_step=start)
-    modes = np.concatenate([base.modes[:, :start], tail], axis=1)
-    return EnsembleStates(domain=domain, times=base.times, modes=modes,
+
+
+def _spiked_ensemble(problem: ControlProblem, base: EnsembleStates,
+                     spiked: ControlProcess, start: int) -> EnsembleStates:
+    """The full rerun: base rows ``:start`` followed by the stepped tail."""
+    modes = np.concatenate([base.modes[:, :start],
+                            _spiked_tail(problem, base, spiked, start)], axis=1)
+    return EnsembleStates(domain=problem.domain, times=base.times, modes=modes,
                           normals=base.normals, control=spiked, root_seed=base.root_seed)
 
 
 def _first_variation_modes(domain: SpectralDomain, drift, base_modes: np.ndarray,
                            control: ControlProcess, spike: SpikeConfig,
-                           times: np.ndarray) -> np.ndarray:
+                           times: np.ndarray, window: bool) -> np.ndarray:
     """Y for (P, n_steps + 1, N) base paths, solved from the spike start on.
 
     Y is exactly zero up to the spike start, so only the rows after it are
-    stepped; the forcing is the drift mismatch and has no noise term.
+    stepped; ``window`` returns just those, else they are written into a
+    zero (P, n_steps + 1, N) array.  The forcing is the drift mismatch and
+    has no noise term.
     """
     spiked, start = _spike_window(control, spike, float(times[-1]))
     base_values, spiked_values = control.values[start:], spiked.values[start:]
@@ -107,15 +117,18 @@ def _first_variation_modes(domain: SpectralDomain, drift, base_modes: np.ndarray
         return domain.to_coeffs(drift.f(fields, spiked_values[n])
                                 - drift.f(fields, base_values[n]))
 
-    out = np.zeros(base_modes.shape)
     try:
-        out[:, start:] = linearized_modes(domain, drift, base_modes[:, start:], None,
-                                          base_values, float(times[1] - times[0]),
-                                          gamma_fn=gamma_fn)
+        rows = linearized_modes(domain, drift, base_modes[:, start:], None,
+                                base_values, float(times[1] - times[0]),
+                                gamma_fn=gamma_fn)
     except InstabilityError as err:
         step = start + err.step
         raise InstabilityError(f"first variation turned non-finite in step {step}",
                                step=step) from err
+    if window:
+        return rows
+    out = np.zeros(base_modes.shape)
+    out[:, start:] = rows
     return out
 
 
@@ -123,16 +136,21 @@ def first_variation(domain: SpectralDomain, drift, base: StateTrajectory,
                     spike: SpikeConfig) -> StateTrajectory:
     """Linearized response Y to the spike's drift mismatch along ``base``."""
     coeffs = _first_variation_modes(domain, drift, base.mode_coeffs[None], base.control,
-                                    spike, base.times)[0]
+                                    spike, base.times, window=False)[0]
     return StateTrajectory(domain=domain, times=base.times, mode_coeffs=coeffs,
                            control=base.control, path_seed=base.path_seed,
                            normals=base.normals)
 
 
 def first_variation_ensemble(domain: SpectralDomain, drift, base: EnsembleStates,
-                             spike: SpikeConfig) -> np.ndarray:
+                             spike: SpikeConfig, *, window: bool = False) -> np.ndarray:
+    """Y along every base path, shape (P, n_steps + 1, N).
+
+    ``window=True`` returns only the rows from the spike start on, shape
+    (P, n_steps + 1 - start, N), without building the zero rows before it.
+    """
     return _first_variation_modes(domain, drift, base.modes, base.control, spike,
-                                  base.times)
+                                  base.times, window)
 
 
 def fit_loglog(epsilons, estimates, stderrs=None, drop_rel_stderr: float = 0.25):
@@ -191,11 +209,11 @@ def spike_order_study(problem: ControlProblem, control: ControlProcess,
     for eps in epsilons:
         spike = SpikeConfig(t0=t0, epsilon=eps, w=w)
         spiked_control, start = _spike_window(control, spike, problem.horizon)
-        perturbed = _spiked_ensemble(problem, base, spiked_control, start)
-        y_modes = first_variation_ensemble(domain, problem.drift, base, spike)[:, start:]
+        tail = _spiked_tail(problem, base, spiked_control, start)
+        y_modes = first_variation_ensemble(domain, problem.drift, base, spike, window=True)
 
         # rows before the spike are exactly zero in all three
-        xi = perturbed.modes[:, start:] - base.modes[:, start:]
+        xi = tail - base.modes[:, start:]
         eta = xi - y_modes
         for label, arr in (("xi", xi), ("Y", y_modes), ("eta", eta)):
             sup_t = np.max(domain.sup_norm(arr), axis=1) ** 2     # per path
@@ -242,7 +260,7 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
         j_spiked = cost_of_ensemble(problem, perturbed)
         delta_j = float((j_spiked - j_base).mean())
 
-        y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
+        y_modes = first_variation_ensemble(domain, problem.drift, base, spike, window=True)
         first_order = np.zeros(base.n_paths)
         for n in range(start, n_steps + 1):     # Y and delta L vanish before the spike
             u_n = control.values[min(n, n_steps - 1)]
@@ -252,7 +270,7 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
                     cost.running_value(domain, base.times[n], base.modes[:, n], ue_n)
                     - cost.running_value(domain, base.times[n], base.modes[:, n], u_n))
             dl = cost.running_gradient_coeffs(domain, base.times[n], base.modes[:, n], u_n)
-            first_order += wq[n] * np.sum(dl * y_modes[:, n], axis=1)
+            first_order += wq[n] * np.sum(dl * y_modes[:, n - start], axis=1)
         dg = cost.terminal_gradient_coeffs(domain, base.modes[:, -1])
         first_order += np.sum(dg * y_modes[:, -1], axis=1)
 

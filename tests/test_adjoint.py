@@ -8,8 +8,8 @@ from spdecontrol.adjoint import (AdjointPair, RegressionSpec, _StepRegressor,
                                  adjoint_to_binary, backward_sweep, duality_residual,
                                  read_binary_adjoint, solve_adjoint_regression,
                                  weighted_norm_report)
-from spdecontrol.control import catalog_problem, lq_adjoint_oracle
-from spdecontrol.errors import ConfigurationError, RegressionError
+from spdecontrol.control import catalog_problem, constant_control_for, lq_adjoint_oracle
+from spdecontrol.errors import ConfigurationError, InstabilityError, RegressionError
 from spdecontrol.forward import constant_control, weight_cell_integrals
 
 
@@ -55,6 +55,17 @@ class TestBackwardSweep:
         s2 = backward_sweep(dom, ens, problem.drift, zeta2, None, **kw)
         s12 = backward_sweep(dom, ens, problem.drift, zeta1 + zeta2, None, **kw)
         assert np.max(np.abs(s12.p_values - s1.p_values - s2.p_values)) < 1e-10
+
+    def test_nonfinite_p_names_the_step(self, lq_ensemble):
+        problem, ens = lq_ensemble
+        dom = problem.domain
+
+        def forcing_fn(n, modes):
+            return np.full(modes.shape, np.nan if n == 5 else 0.0)
+
+        with pytest.raises(InstabilityError, match="step 5") as err:
+            backward_sweep(dom, ens, problem.drift, None, forcing_fn, compute_q=False)
+        assert err.value.step == 5
 
     def test_path_requirement(self, lq_ensemble):
         problem, _ = lq_ensemble
@@ -132,6 +143,31 @@ class TestDuality:
         out = duality_residual(problem, forcing_eta=problem.noise.b_coeffs,
                                n_paths=500, seed=49)
         assert out["residual"] < 0.1
+
+    @pytest.mark.parametrize("name", ["lq-1d", "cubic-1d"])
+    def test_pairing_on_one_sweep_equals_separate_calls(self, name):
+        # one ensemble and one sweep with q (and another sobolev_s, which only
+        # weights the q norm) serve both forcings, bit for bit
+        problem = catalog_problem(name, modes=8, n_steps=32, seed=52)
+        gamma = np.zeros((problem.n_steps, problem.domain.n_modes))
+        gamma[:, 0], gamma[:, 2] = 1.0, 0.3
+        eta = problem.noise.b_coeffs
+        ens = problem.ensemble(constant_control_for(problem, 0.0), 100, 52)
+        sol = solve_adjoint_regression(problem, ens, sobolev_s=1.25)
+        assert duality_residual(problem, forcing_gamma=gamma, solution=sol) == \
+            duality_residual(problem, forcing_gamma=gamma, n_paths=100, seed=52)
+        assert duality_residual(problem, forcing_eta=eta, solution=sol) == \
+            duality_residual(problem, forcing_eta=eta, n_paths=100, seed=52)
+
+    def test_pairing_needs_the_ensemble_and_q(self, lq_ensemble):
+        problem, ens = lq_ensemble
+        sol = solve_adjoint_regression(problem, ens, compute_q=False)
+        with pytest.raises(ConfigurationError, match="compute_q"):
+            duality_residual(problem, forcing_eta=problem.noise.b_coeffs, solution=sol)
+        sol.ensemble = None
+        with pytest.raises(ConfigurationError, match="forward ensemble"):
+            duality_residual(problem, forcing_gamma=np.ones(problem.domain.n_modes),
+                             solution=sol)
 
 
 class TestWeightedNorms:

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import spdecontrol.adjoint
 import spdecontrol.cli
 import spdecontrol.forward
 from spdecontrol.cli import build_problem, main, run, validate_config, write_json
@@ -205,3 +207,43 @@ class TestRunner:
         values = np.linspace(0.0, 1.0, 100)
         write_json(tmp_path / "a.json", {"values": values})
         assert json.loads((tmp_path / "a.json").read_text())["values"] == values.tolist()
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every package module that binds it."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("spdecontrol") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class TestStudyCallCounts:
+    """Each CLI study simulates each (control, seed) pair once and sweeps it once."""
+
+    LQ = {"problem": "lq-1d", "overrides": {"modes": 8, "n_steps": 32},
+          "numerics": {"seed": 3, "paths": 120}}
+
+    @pytest.mark.parametrize("study, expected", [
+        ({}, 1), ({"control_value": 0.0}, 1), ({"control_value": 0.3}, 2),
+        ({"control": "lq-oracle"}, 2)])
+    def test_adjoint_check(self, tmp_path, monkeypatch, study, expected):
+        ensembles = count_calls(monkeypatch, spdecontrol.forward, "simulate_ensemble")
+        sweeps = count_calls(monkeypatch, spdecontrol.adjoint, "backward_sweep")
+        cfg = write_config(tmp_path, dict(self.LQ, study=study))
+        assert run("adjoint-check", str(cfg), str(tmp_path / "out")) == 0
+        assert (len(ensembles), len(sweeps)) == (expected, expected)
+
+    def test_optimize_draws_normals_once(self, tmp_path, monkeypatch):
+        iterations = 3
+        normals = count_calls(monkeypatch, spdecontrol.forward, "wiener_normals")
+        ensembles = count_calls(monkeypatch, spdecontrol.forward, "simulate_ensemble")
+        cfg = write_config(tmp_path, dict(self.LQ, study={"iterations": iterations}))
+        assert run("optimize", str(cfg), str(tmp_path / "out")) == 0
+        assert len(normals) == self.LQ["numerics"]["paths"]
+        assert len(ensembles) == iterations + 1

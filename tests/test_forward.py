@@ -92,6 +92,22 @@ class TestSimulateState:
                 simulate_ensemble(*args, 2, 0, normals=np.zeros((2, 64, 8)), blowup_bound=2.0)
         assert err.value.step is not None and err.value.step > 0
 
+    @pytest.mark.parametrize("stepper", ["state", "ensemble"])
+    def test_blowup_in_the_last_step_names_the_final_node(self, stepper):
+        dom = make_domain(1, 8)
+        noise = NoiseModel(dom, 0.5, 0.25, 1)
+        args = (dom, ZERO_DRIFT, noise, constant_control(SPACE, 0.0, 16), unit_mode(dom), 16, 1.0)
+        with pytest.raises(InstabilityError, match="at step 16") as err:
+            if stepper == "state":
+                increments = np.zeros((16, 8))
+                increments[15, 0] = 1e9      # step 15 of 16 fills node 16
+                simulate_state(*args, 0, noise_increments=increments)
+            else:
+                normals = np.zeros((2, 16, 8))
+                normals[1, 15, 0] = 1e10
+                simulate_ensemble(*args, 2, 0, normals=normals)
+        assert err.value.step == 16
+
     def test_dissipative_sup_norm_damping(self):
         drift = cubic_drift(a=0.0, b=0.0)    # f = -sigma^3
         dom = make_domain(1, 64)

@@ -230,6 +230,16 @@ class TestSpikeWindow:
         start = int(round(spike.t0 / base.dt))
         assert np.all(y[:, :start + 1] == 0.0) and np.any(y[:, start + 1] != 0.0)
 
+    @pytest.mark.parametrize("spike", SPIKES)
+    def test_window_is_the_tail_of_the_full_solve(self, cubic, spike):
+        problem, _, base = cubic
+        start = int(round(spike.t0 / base.dt))
+        full = first_variation_ensemble(problem.domain, problem.drift, base, spike)
+        rows = first_variation_ensemble(problem.domain, problem.drift, base, spike,
+                                        window=True)
+        assert rows.shape == (base.n_paths, base.modes.shape[1] - start, problem.domain.n_modes)
+        assert np.array_equal(rows, full[:, start:]) and np.all(full[:, :start] == 0.0)
+
     def test_single_path_equals_ensemble_row(self, cubic):
         problem, _, base = cubic
         spike = self.SPIKES[0]
@@ -281,6 +291,26 @@ class TestSpikeWindow:
         start = 32
         assert stepped == {"exp_euler": [64] + [64 - start] * 3,
                            "linearized": [64 - start] * 3}
+
+    def test_study_builds_only_the_window(self, monkeypatch):
+        # neither the full rerun nor the zero rows of Y before the spike are built
+        shapes = []
+        first_variation = spdecontrol.variation.first_variation_ensemble
+
+        def recording(*args, **kwargs):
+            out = first_variation(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        def no_full_rerun(*args, **kwargs):
+            raise AssertionError("built the full spiked ensemble")
+
+        monkeypatch.setattr(spdecontrol.variation, "first_variation_ensemble", recording)
+        monkeypatch.setattr(spdecontrol.variation, "_spiked_ensemble", no_full_rerun)
+        problem = catalog_problem("cubic-1d", modes=16, n_steps=64, seed=42)
+        spike_order_study(problem, constant_control_for(problem, 0.0), w=0.8, t0=0.5,
+                          epsilons=[1 / 8, 1 / 16, 1 / 32], n_paths=8, seed=42)
+        assert shapes == [(8, 64 + 1 - 32, 16)] * 3
 
 
 _SPIKE_MANIFESTS = """
