@@ -255,7 +255,8 @@ def solve_adjoint_regression(problem, ensemble: EnsembleStates,
 
 # -- duality -------------------------------------------------------------------
 
-def duality_residual(problem, forcing_gamma=None, forcing_eta=None, n_paths: int = 500, *,
+def duality_residual(problem, forcing_gamma=None, forcing_eta=None,
+                     n_paths: Optional[int] = None, *,
                      control=None, seed: Optional[int] = None,
                      spec: RegressionSpec = None, n_steps: Optional[int] = None,
                      solution: Optional[AdjointSolution] = None) -> dict:
@@ -266,17 +267,27 @@ def duality_residual(problem, forcing_gamma=None, forcing_eta=None, n_paths: int
     are estimated on a common ensemble and noise streams; the returned
     relative residual is |LHS - RHS| / (|LHS| + |RHS| + floor).
 
-    Without ``solution`` this simulates an ensemble under ``control`` (zero
-    by default), sweeps it (with q only for an eta forcing) and pairs.
-    Given a ``solution`` that references its forward ensemble, it only
-    pairs: several forcings then share one ensemble and one sweep, and
-    ``n_paths``, ``control``, ``seed``, ``spec`` and ``n_steps`` are unused.
+    Without ``solution`` this simulates ``n_paths`` (500 by default) paths
+    under ``control`` (zero by default), sweeps them (with q only for an eta
+    forcing) and pairs.  Given a ``solution`` that references its forward
+    ensemble, it only pairs, under that ensemble's control and paths:
+    several forcings then share one ensemble and one sweep.  The two routes
+    exclude each other, so ``solution`` together with any of ``n_paths``,
+    ``control``, ``seed``, ``spec`` or ``n_steps`` is a ConfigurationError.
     p does not depend on whether q was computed, and ``sobolev_s`` only
     weights the q norm, so either route gives the same bytes.
     """
-    if solution is None:
+    if solution is not None:
+        given = [name for name, value in (("n_paths", n_paths), ("control", control),
+                                          ("seed", seed), ("spec", spec),
+                                          ("n_steps", n_steps)) if value is not None]
+        if given:
+            raise ConfigurationError(f"duality_residual pairs on the given solution's ensemble; "
+                                     f"{', '.join(given)} would be ignored")
+    else:
         from .control import constant_control_for  # local import to avoid a cycle
 
+        n_paths = n_paths if n_paths is not None else 500
         n_steps = n_steps or problem.n_steps
         control = control if control is not None else constant_control_for(problem, 0.0, n_steps)
         seed = seed if seed is not None else problem.noise.seed

@@ -5,9 +5,10 @@ perturbed state is rerun with the identical noise path (the ensemble
 stepper driven by the base ensemble's normals), so the pathwise
 differences isolate the control effect.  Before t0 the spiked rerun equals
 the base bit for bit and the first variation is exactly zero, so both are
-stepped from the spike start only, on the base's noise.  The order study
-uses only those rows; the cost expansion copies the base prefix into the
-rerun, whose full cost it needs.  The studies here fit the growth orders
+stepped from the spike start only, on the base's noise, and the ensemble
+first variation holds only those rows.  The order study uses the rerun's
+rows from the spike on too; the cost expansion copies the base prefix into
+the rerun, whose full cost it needs.  The studies here fit the growth orders
 in eps of
 
     xi  = X_spiked - X          (first-order response, O(eps)),
@@ -98,13 +99,12 @@ def _spiked_ensemble(problem: ControlProblem, base: EnsembleStates,
 
 def _first_variation_modes(domain: SpectralDomain, drift, base_modes: np.ndarray,
                            control: ControlProcess, spike: SpikeConfig,
-                           times: np.ndarray, window: bool) -> np.ndarray:
-    """Y for (P, n_steps + 1, N) base paths, solved from the spike start on.
+                           times: np.ndarray) -> tuple[np.ndarray, int]:
+    """Y for (P, n_steps + 1, N) base paths from the spike start on, and that start.
 
-    Y is exactly zero up to the spike start, so only the rows after it are
-    stepped; ``window`` returns just those, else they are written into a
-    zero (P, n_steps + 1, N) array.  The forcing is the drift mismatch and
-    has no noise term.
+    Y is exactly zero up to the spike start, so only the rows from it on are
+    stepped and returned, shape (P, n_steps + 1 - start, N).  The forcing is
+    the drift mismatch and has no noise term.
     """
     spiked, start = _spike_window(control, spike, float(times[-1]))
     base_values, spiked_values = control.values[start:], spiked.values[start:]
@@ -125,32 +125,30 @@ def _first_variation_modes(domain: SpectralDomain, drift, base_modes: np.ndarray
         step = start + err.step
         raise InstabilityError(f"first variation turned non-finite in step {step}",
                                step=step) from err
-    if window:
-        return rows
-    out = np.zeros(base_modes.shape)
-    out[:, start:] = rows
-    return out
+    return rows, start
 
 
 def first_variation(domain: SpectralDomain, drift, base: StateTrajectory,
                     spike: SpikeConfig) -> StateTrajectory:
     """Linearized response Y to the spike's drift mismatch along ``base``."""
-    coeffs = _first_variation_modes(domain, drift, base.mode_coeffs[None], base.control,
-                                    spike, base.times, window=False)[0]
+    rows, start = _first_variation_modes(domain, drift, base.mode_coeffs[None], base.control,
+                                         spike, base.times)
+    coeffs = np.zeros(base.mode_coeffs.shape)
+    coeffs[start:] = rows[0]
     return StateTrajectory(domain=domain, times=base.times, mode_coeffs=coeffs,
                            control=base.control, path_seed=base.path_seed,
                            normals=base.normals)
 
 
 def first_variation_ensemble(domain: SpectralDomain, drift, base: EnsembleStates,
-                             spike: SpikeConfig, *, window: bool = False) -> np.ndarray:
-    """Y along every base path, shape (P, n_steps + 1, N).
+                             spike: SpikeConfig) -> np.ndarray:
+    """Y along every base path from the spike start on, shape (P, n_steps + 1 - start, N).
 
-    ``window=True`` returns only the rows from the spike start on, shape
-    (P, n_steps + 1 - start, N), without building the zero rows before it.
+    Row ``i`` is grid node ``start + i``; Y is exactly zero before the
+    spike start, so those rows are not built.
     """
     return _first_variation_modes(domain, drift, base.modes, base.control, spike,
-                                  base.times, window)
+                                  base.times)[0]
 
 
 def fit_loglog(epsilons, estimates, stderrs=None, drop_rel_stderr: float = 0.25):
@@ -210,7 +208,7 @@ def spike_order_study(problem: ControlProblem, control: ControlProcess,
         spike = SpikeConfig(t0=t0, epsilon=eps, w=w)
         spiked_control, start = _spike_window(control, spike, problem.horizon)
         tail = _spiked_tail(problem, base, spiked_control, start)
-        y_modes = first_variation_ensemble(domain, problem.drift, base, spike, window=True)
+        y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
 
         # rows before the spike are exactly zero in all three
         xi = tail - base.modes[:, start:]
@@ -260,7 +258,7 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
         j_spiked = cost_of_ensemble(problem, perturbed)
         delta_j = float((j_spiked - j_base).mean())
 
-        y_modes = first_variation_ensemble(domain, problem.drift, base, spike, window=True)
+        y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
         first_order = np.zeros(base.n_paths)
         for n in range(start, n_steps + 1):     # Y and delta L vanish before the spike
             u_n = control.values[min(n, n_steps - 1)]

@@ -169,6 +169,17 @@ class TestDuality:
             duality_residual(problem, forcing_gamma=np.ones(problem.domain.n_modes),
                              solution=sol)
 
+    @pytest.mark.parametrize("arg", ["n_paths", "control", "seed", "spec", "n_steps"])
+    def test_pairing_rejects_simulation_arguments(self, lq_ensemble, arg):
+        # a given sweep fixes the control, paths and seed; nothing may silently override it
+        problem, ens = lq_ensemble
+        sol = solve_adjoint_regression(problem, ens, compute_q=False)
+        value = {"n_paths": 100, "control": ens.control, "seed": 52, "spec": RegressionSpec(),
+                 "n_steps": len(ens.control)}[arg]
+        with pytest.raises(ConfigurationError, match=arg):
+            duality_residual(problem, forcing_gamma=np.ones(problem.domain.n_modes),
+                             solution=sol, **{arg: value})
+
 
 class TestWeightedNorms:
     def test_weight_integral_sanity(self):
