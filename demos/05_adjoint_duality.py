@@ -23,12 +23,12 @@ paired = solve_adjoint_regression(
                               800, 77))
 gamma = np.zeros(dom.n_modes)
 gamma[0], gamma[2] = 1.0, 0.3
-res = duality_residual(problem, forcing_gamma=gamma, solution=paired)
+res = duality_residual(problem, paired, forcing_gamma=gamma)
 print("drift-forcing side (gamma = low-mode profile, eta = 0):")
 print(f"  LHS = {res['lhs']:+.5f}   RHS = {res['rhs']:+.5f}   "
       f"relative residual = {res['residual']:.4f}")
 
-res = duality_residual(problem, forcing_eta=problem.noise.b_coeffs, solution=paired)
+res = duality_residual(problem, paired, forcing_eta=problem.noise.b_coeffs)
 print("noise-forcing side (eta = covariance diagonal, gamma = 0):")
 print(f"  LHS = {res['lhs']:+.5f}   RHS = {res['rhs']:+.5f}   "
       f"relative residual = {res['residual']:.4f}")

@@ -39,7 +39,7 @@ for label, ctrl in (("descent result", final),
                     ("bad constant u=0.9", constant_control_for(problem, 0.9))):
     ens = problem.ensemble(ctrl, 600, 43)
     sol = solve_adjoint_regression(problem, ens, compute_q=False)
-    rep = check_maximum_principle(problem, ctrl, sol)
+    rep = check_maximum_principle(problem, sol)
     print(f"\n{label}:")
     print(f"  min averaged Hamiltonian gap = {rep['min_gap']:+.2e} "
           f"at t={rep['argmin_t']:.2f}, v={rep['argmin_v']:+.2f}")

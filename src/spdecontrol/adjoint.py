@@ -23,10 +23,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, InstabilityError, RegressionError, ShapeError
-from .forward import (EnsembleStates, linearized_modes, simulate_ensemble,
-                      weight_cell_integrals, _step_weights)
-from .rng import make_rng
+from .forward import EnsembleStates, linearized_modes, weight_cell_integrals, _step_weights
 from .spectral import SpectralDomain
+
+# a step regression past this condition number is refused
+CONDITION_LIMIT = 1e10
+# fewest paths per basis function a regression is run on
+MIN_PATHS_PER_FEATURE = 10
 
 
 @dataclass(frozen=True)
@@ -37,65 +40,52 @@ class RegressionSpec:
     linear-quadratic problems, where p is affine in the state.
     ``basis_modes`` restricts the mode features to the lowest that many
     modes, which keeps the path requirement affordable on fine truncations
-    (the discarded high modes are nearly decoupled there).
-    ``mixing_seed`` applies a random orthogonal recombination of the
-    features; it changes nothing in exact arithmetic (same span) and is
-    used to probe uniqueness of the regression solution.
+    (the discarded high modes are nearly decoupled there).  ``clip``
+    bounds the drift derivative in the backward step.  The condition limit
+    and the path budget per feature are the module constants
+    ``CONDITION_LIMIT`` and ``MIN_PATHS_PER_FEATURE``.
     """
 
     include_modes: bool = True
     basis_modes: Optional[int] = None
     degree2: bool = False
-    mixing_seed: Optional[int] = None
     clip: float = 1e3
-    condition_limit: float = 1e10
-    min_paths_per_feature: int = 10
 
     def check_paths(self, n_modes: int, n_paths: int):
         """Raise unless ``n_paths`` affords this basis on ``n_modes`` state modes."""
         core_modes = n_modes if self.basis_modes is None else min(self.basis_modes, n_modes)
         n_features = 1 + (core_modes if self.include_modes else 0) + (core_modes if self.degree2 else 0)
-        if n_paths < self.min_paths_per_feature * n_features:
+        if n_paths < MIN_PATHS_PER_FEATURE * n_features:
             raise ConfigurationError(
                 f"regression with {n_features} basis functions wants at least "
-                f"{self.min_paths_per_feature * n_features} paths, got {n_paths}")
+                f"{MIN_PATHS_PER_FEATURE * n_features} paths, got {n_paths}")
 
 
 @dataclass
 class AdjointPair:
-    """One path's adjoint processes on the forward grid.
-
-    ``q_matrix`` maps truncated noise modes to state modes per step and may
-    be absent when only p was requested.
-    """
+    """One path's p on the forward grid."""
 
     times: np.ndarray
     p_coeffs: np.ndarray                 # (n_steps + 1, N)
-    q_matrix: Optional[np.ndarray] = None  # (n_steps, N, N_K)
 
 
 class _StepRegressor:
     """Center-and-scale least squares with zero-variance columns dropped."""
 
-    def __init__(self, features: np.ndarray, spec: RegressionSpec):
+    def __init__(self, features: np.ndarray):
         self.n_paths = features.shape[0]
         mean = features.mean(axis=0)
         std = features.std(axis=0)
         keep = std > 1e-12 * (1.0 + np.abs(mean))
         self.mean, self.std, self.keep = mean, std, keep
         core = (features[:, keep] - mean[keep]) / std[keep]
-        if spec.mixing_seed is not None and core.shape[1] > 0:
-            rng = make_rng((spec.mixing_seed, "basis", 0))
-            raw = rng.standard_normal((core.shape[1], core.shape[1]))
-            mix, _ = np.linalg.qr(raw)
-            core = core @ mix
         phi = np.concatenate([np.ones((self.n_paths, 1)), core], axis=1)
         u, s, vt = np.linalg.svd(phi, full_matrices=False)
         self.cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-        if self.cond > spec.condition_limit:
+        if self.cond > CONDITION_LIMIT:
             raise RegressionError(
                 f"regression condition number {self.cond:.2e} exceeds "
-                f"{spec.condition_limit:.0e}; reduce the basis (e.g. drop degree-2 terms)")
+                f"{CONDITION_LIMIT:.0e}; reduce the basis (e.g. drop degree-2 terms)")
         self.u, self.s, self.vt = u, s, vt
         self.phi = phi
 
@@ -196,7 +186,7 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
             clip_rate = float(np.mean(clipped != mult))
             target = target + domain.to_coeffs(clipped * domain.to_field(wdrift * p_next))
 
-        reg = _StepRegressor(_default_features(modes[:, n], spec), spec)
+        reg = _StepRegressor(_default_features(modes[:, n], spec))
         p_fit = reg.fit_predict(target)
         resid = target - p_fit
         resid_sd = resid.std(axis=0, ddof=1) if n_paths > 1 else np.ones(n_modes)
@@ -248,53 +238,25 @@ def solve_adjoint_regression(problem, ensemble: EnsembleStates,
         return cost.running_gradient_coeffs(domain, ensemble.times[n], state_modes, u[n])
 
     return backward_sweep(domain, ensemble, problem.drift, terminal, forcing_fn,
-                          spec, compute_q=compute_q,
-                          sobolev_s=sobolev_s if sobolev_s is not None
-                          else getattr(problem, "sobolev_s", None))
+                          spec, compute_q=compute_q, sobolev_s=sobolev_s)
 
 
 # -- duality -------------------------------------------------------------------
 
-def duality_residual(problem, forcing_gamma=None, forcing_eta=None,
-                     n_paths: Optional[int] = None, *,
-                     control=None, seed: Optional[int] = None,
-                     spec: RegressionSpec = None, n_steps: Optional[int] = None,
-                     solution: Optional[AdjointSolution] = None) -> dict:
-    """Monte Carlo check of the pairing that defines (p, q).
+def duality_residual(problem, solution: AdjointSolution, forcing_gamma=None,
+                     forcing_eta=None) -> dict:
+    """Monte Carlo check of the pairing that defines (p, q), on a given sweep.
 
     Both sides of  E int <p, gamma> dt + E int <q, eta> dt
                  = E int <f, y> dt + E <zeta, y(T)>
-    are estimated on a common ensemble and noise streams; the returned
-    relative residual is |LHS - RHS| / (|LHS| + |RHS| + floor).
-
-    Without ``solution`` this simulates ``n_paths`` (500 by default) paths
-    under ``control`` (zero by default), sweeps them (with q only for an eta
-    forcing) and pairs.  Given a ``solution`` that references its forward
-    ensemble, it only pairs, under that ensemble's control and paths:
-    several forcings then share one ensemble and one sweep.  The two routes
-    exclude each other, so ``solution`` together with any of ``n_paths``,
-    ``control``, ``seed``, ``spec`` or ``n_steps`` is a ConfigurationError.
-    p does not depend on whether q was computed, and ``sobolev_s`` only
-    weights the q norm, so either route gives the same bytes.
+    are estimated on the sweep's forward ensemble, under its control and on
+    its noise; the returned relative residual is
+    |LHS - RHS| / (|LHS| + |RHS| + floor).  Several forcings thus share one
+    ensemble and one sweep.  An eta forcing pairs with q and needs a sweep
+    taken with ``compute_q=True``.  p does not depend on whether q was
+    computed, and ``sobolev_s`` only weights the q norm, so a gamma pairing
+    gives the same bytes on either sweep.
     """
-    if solution is not None:
-        given = [name for name, value in (("n_paths", n_paths), ("control", control),
-                                          ("seed", seed), ("spec", spec),
-                                          ("n_steps", n_steps)) if value is not None]
-        if given:
-            raise ConfigurationError(f"duality_residual pairs on the given solution's ensemble; "
-                                     f"{', '.join(given)} would be ignored")
-    else:
-        from .control import constant_control_for  # local import to avoid a cycle
-
-        n_paths = n_paths if n_paths is not None else 500
-        n_steps = n_steps or problem.n_steps
-        control = control if control is not None else constant_control_for(problem, 0.0, n_steps)
-        seed = seed if seed is not None else problem.noise.seed
-        ens = simulate_ensemble(problem.domain, problem.drift, problem.noise, control,
-                                problem.x0, n_steps, problem.horizon, n_paths, seed)
-        solution = solve_adjoint_regression(problem, ens, spec,
-                                            compute_q=forcing_eta is not None)
     ens = solution.ensemble
     if ens is None:
         raise ConfigurationError("adjoint solution does not reference its forward ensemble")
@@ -358,31 +320,28 @@ _MAGIC = b"SPDA"
 
 
 def adjoint_to_binary(pair: AdjointPair, path: str):
-    """Little-endian: b"SPDA", u32 N, u32 n_steps, f64 horizon, u32 N_K,
-    u32 has_q, p matrix row-major float64, then the q tensor if present."""
+    """Little-endian: b"SPDA", u32 N, u32 n_steps, f64 horizon, u32 N_K = 0,
+    u32 has_q = 0, then the p matrix row-major float64."""
     n_steps = pair.times.size - 1
     n_modes = pair.p_coeffs.shape[1]
-    nk = pair.q_matrix.shape[2] if pair.q_matrix is not None else 0
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIdII", n_modes, n_steps, float(pair.times[-1]),
-                             nk, 1 if pair.q_matrix is not None else 0))
+        fh.write(struct.pack("<IIdII", n_modes, n_steps, float(pair.times[-1]), 0, 0))
         fh.write(np.ascontiguousarray(pair.p_coeffs, dtype="<f8").tobytes())
-        if pair.q_matrix is not None:
-            fh.write(np.ascontiguousarray(pair.q_matrix, dtype="<f8").tobytes())
 
 
 def read_binary_adjoint(path: str):
+    """Return (horizon, p matrix) from an adjoint snapshot."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ConfigurationError("not an adjoint snapshot")
         n_modes, n_steps, horizon, nk, has_q = struct.unpack("<IIdII", fh.read(24))
+        if nk or has_q:
+            raise ConfigurationError(f"adjoint snapshot with a q block (N_K = {nk}, "
+                                     f"has_q = {has_q}); only p snapshots are read")
         p = np.frombuffer(fh.read(8 * (n_steps + 1) * n_modes),
                           dtype="<f8").reshape(n_steps + 1, n_modes)
-        q = None
-        if has_q:
-            q = np.frombuffer(fh.read(), dtype="<f8").reshape(n_steps, n_modes, nk)
-    return horizon, p, q
+    return horizon, p
 
 
 def diagnostics_to_json(solution: AdjointSolution, path: str):

@@ -251,10 +251,10 @@ def _sha256(path: Path) -> str:
 # -- study drivers --------------------------------------------------------------
 
 
-def _numerics(config, args):
+def _numerics(config, seed, paths):
     num = dict(config.get("numerics", {}))
-    seed = args.seed if args.seed is not None else num.get("seed", 20250801)
-    paths = args.paths if args.paths is not None else num.get("paths", 400)
+    seed = seed if seed is not None else num.get("seed", 20250801)
+    paths = paths if paths is not None else num.get("paths", 400)
     return int(seed), int(paths), num
 
 
@@ -262,13 +262,13 @@ def _study(config):
     return dict(config.get("study", {}))
 
 
-def _base_control(problem, study, n_steps=None):
+def _base_control(problem, study):
     choice = study.get("control", "constant" if "control_value" in study else "zero")
     if choice == "lq-oracle":
         oracle = lq_optimal_control(problem)
         return ControlProcess(values=oracle["u_star"], space=problem.control_space)
     value = float(study.get("control_value", 0.0))
-    return constant_control_for(problem, value, n_steps)
+    return constant_control_for(problem, value)
 
 
 def _run_simulate(problem, seed, paths, num, study, out: Path) -> list[Path]:
@@ -385,8 +385,8 @@ def _run_adjoint_check(problem, seed, paths, num, study, out: Path) -> list[Path
     zero = constant_control_for(problem, 0.0)
     if control.values.tobytes() != zero.values.tobytes():
         paired = solve_adjoint_regression(problem, problem.ensemble(zero, paths, seed), spec)
-    res_gamma = duality_residual(problem, forcing_gamma=gamma, solution=paired)
-    res_eta = duality_residual(problem, forcing_eta=problem.noise.b_coeffs, solution=paired)
+    res_gamma = duality_residual(problem, paired, forcing_gamma=gamma)
+    res_eta = duality_residual(problem, paired, forcing_eta=problem.noise.b_coeffs)
 
     norms = weighted_norm_report(sol, r_prime=num.get("r_prime", 1.5))
     write_json(out / "adjoint_check.json", {
@@ -403,7 +403,7 @@ def _run_smp_check(problem, seed, paths, num, study, out: Path) -> list[Path]:
     control = _base_control(problem, study)
     ens = problem.ensemble(control, paths, seed)
     sol = solve_adjoint_regression(problem, ens, spec, compute_q=False)
-    report = check_maximum_principle(problem, control, sol,
+    report = check_maximum_principle(problem, sol,
                                      v_samples=problem.control_space.sample(
                                          study.get("v_count", 21)),
                                      tol=study.get("tol", 1e-3))
@@ -433,7 +433,7 @@ def _run_optimize(problem, seed, paths, num, study, out: Path) -> list[Path]:
               [{"step": n, "u": final.values[n]} for n in range(len(final))])
 
     sol = solve_adjoint_regression(problem, trace["ensemble"], spec, compute_q=False)
-    report = check_maximum_principle(problem, final, sol, tol=study.get("tol", 1e-2))
+    report = check_maximum_principle(problem, sol, tol=study.get("tol", 1e-2))
     write_json(out / "optimize.json", {
         "J_initial": trace["J"][0], "J_final": trace["J"][-1],
         "iterations": len(trace["J"]) - 1,
@@ -485,13 +485,15 @@ def _run_selftest(problem, seed, paths, num, study, out: Path) -> list[Path]:
     control = ControlProcess(values=oracle["u_star"], space=lq.control_space)
     ens = lq.ensemble(control, min(paths, 500), seed)
     sol = solve_adjoint_regression(lq, ens, compute_q=False)
-    report = check_maximum_principle(lq, control, sol)
+    report = check_maximum_principle(lq, sol)
     checks["smp_at_lq_optimum"] = {"pass": report["min_gap"] >= -5e-3,
                                    "value": report["min_gap"]}
 
     gamma = np.zeros(domain.n_modes)
     gamma[0] = 1.0
-    res = duality_residual(lq, forcing_gamma=gamma, n_paths=min(paths, 500), seed=seed)
+    ens = lq.ensemble(constant_control_for(lq, 0.0), min(paths, 500), seed)
+    res = duality_residual(lq, solve_adjoint_regression(lq, ens, compute_q=False),
+                           forcing_gamma=gamma)
     checks["duality_gamma"] = {"pass": res["residual"] < 0.1, "value": res["residual"]}
 
     all_pass = all(c["pass"] for c in checks.values())
@@ -519,7 +521,6 @@ _RUNNERS = {
 
 def run(subcommand: str, config_path: str, out_dir: str, *, seed=None, paths=None) -> int:
     """Execute one study; returns the process exit status."""
-    args = argparse.Namespace(seed=seed, paths=paths)
     out = Path(out_dir)
     path = Path(config_path)
     if not path.is_file():
@@ -531,7 +532,7 @@ def run(subcommand: str, config_path: str, out_dir: str, *, seed=None, paths=Non
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    root_seed, n_paths, num = _numerics(config, args)
+    root_seed, n_paths, num = _numerics(config, seed, paths)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "subcommand": subcommand,

@@ -290,24 +290,25 @@ def hamiltonian(problem: ControlProblem, t: float, modes: np.ndarray, p: np.ndar
     return np.broadcast_to(h + np.sum(p * f_coeffs, axis=-1), u.shape + modes.shape[:1])
 
 
-def check_maximum_principle(problem: ControlProblem, control: ControlProcess,
-                            solution: AdjointSolution, v_samples: Optional[np.ndarray] = None,
+def check_maximum_principle(problem: ControlProblem, solution: AdjointSolution,
+                            v_samples: Optional[np.ndarray] = None,
                             tol: float = 1e-3) -> dict:
     """Ensemble-averaged Hamiltonian gaps over grid times and control values.
 
-    gap(t, v) = E[H(t, v, X_t, p_t) - H(t, u_t, X_t, p_t)]; at an optimal
-    control every gap is nonnegative up to Monte Carlo noise.
+    gap(t, v) = E[H(t, v, X_t, p_t) - H(t, u_t, X_t, p_t)], with u, X and p
+    those of the sweep's forward ensemble; at an optimal control every gap
+    is nonnegative up to Monte Carlo noise.
     """
     if v_samples is None:
         v_samples = problem.control_space.sample(21)
     ens = solution.ensemble
     if ens is None:
         raise ConfigurationError("adjoint solution does not reference its forward ensemble")
-    n_steps = len(control)
-    gaps = np.empty((n_steps, len(v_samples)))
-    for n in range(n_steps):
+    u = ens.control.values
+    gaps = np.empty((u.size, len(v_samples)))
+    for n in range(u.size):
         h = hamiltonian(problem, ens.times[n], ens.modes[:, n], solution.p_values[:, n],
-                        np.concatenate([[control.values[n]], v_samples]))
+                        np.concatenate([[u[n]], v_samples]))
         gaps[n] = np.mean(h[1:] - h[0], axis=1)
     worst = np.unravel_index(np.argmin(gaps), gaps.shape)
     return {
@@ -323,27 +324,39 @@ def check_maximum_principle(problem: ControlProblem, control: ControlProcess,
 
 # -- descent optimizer -----------------------------------------------------------
 
+# descent stops once the gradient's L2 norm in time falls below this
+GRAD_TOL = 1e-10
+
+
 def optimize_control(problem: ControlProblem, control: ControlProcess,
-                     iterations: int = 50, step_rule=0.5, *, n_paths: int = 100,
-                     seed: Optional[int] = None, spec: RegressionSpec = None,
-                     grad_tol: float = 1e-10) -> tuple[ControlProcess, dict]:
-    """Projected gradient descent on piecewise-constant controls.
+                     iterations: int = 50, step_rule: float = 0.5, *, n_paths: int = 100,
+                     seed: Optional[int] = None,
+                     spec: RegressionSpec = None) -> tuple[ControlProcess, dict]:
+    """Projected gradient descent on piecewise-constant controls, fixed step ``step_rule``.
 
     The descent direction is the adjoint-based Hamiltonian gradient
     d_u H = d_u L + <p, d_u F>; iterations share one set of noise streams
     (common random numbers) so the recorded costs are comparable: the
     normals are drawn once, by the first ensemble, and every later one
-    reuses them.  The trace holds the per-iteration "J", "stderr" and
-    "grad_norm" lists and, as "ensemble", the ensemble under the returned
-    control, so a caller need not simulate it again.
+    reuses them.  Descent stops after ``iterations`` steps, or early once
+    the gradient norm falls below ``GRAD_TOL``; the control has not moved
+    then, and its last ensemble is the final one.  The trace holds the
+    per-iteration "J", "stderr" and "grad_norm" lists, J and stderr ending
+    with the final control's, and, as "ensemble", the ensemble under the
+    returned control, so a caller need not simulate it again.
     """
     if problem.drift.f_u is None or problem.cost.running_du is None:
         raise ConfigurationError("optimizer needs d_u f and d_u l; catalog problems have both")
     seed = seed if seed is not None else problem.noise.seed
-    step_fn = step_rule if callable(step_rule) else (lambda m: step_rule)
     dt = problem.horizon / len(control)
 
     trace = {"J": [], "stderr": [], "grad_norm": []}
+
+    def record(ens):
+        costs = cost_of_ensemble(problem, ens)
+        trace["J"].append(float(costs.mean()))
+        trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
+
     non_decreasing = 0
     values = control.values.copy()
     normals = None
@@ -351,9 +364,7 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
         ctrl = ControlProcess(values=values, space=problem.control_space)
         ens = problem.ensemble(ctrl, n_paths, seed, normals=normals)
         normals = ens.normals
-        costs = cost_of_ensemble(problem, ens)
-        trace["J"].append(float(costs.mean()))
-        trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
+        record(ens)
         if m > 0 and trace["J"][-1] >= trace["J"][-2]:
             non_decreasing += 1
             if non_decreasing >= 5:
@@ -369,17 +380,16 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
                          for n in range(len(ctrl))])
         gnorm = float(np.sqrt(np.sum(grad**2) * dt))
         trace["grad_norm"].append(gnorm)
-        if gnorm < grad_tol:
+        if gnorm < GRAD_TOL:
             break
-        values = problem.control_space.project(values - step_fn(m) * grad)
-
-    final = ControlProcess(values=values, space=problem.control_space)
-    ens = problem.ensemble(final, n_paths, seed, normals=normals)
-    costs = cost_of_ensemble(problem, ens)
-    trace["J"].append(float(costs.mean()))
-    trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
+        values = problem.control_space.project(values - step_rule * grad)
+    else:
+        # the loop ran out with a moved control (or never ran): simulate it once
+        ctrl = ControlProcess(values=values, space=problem.control_space)
+        ens = problem.ensemble(ctrl, n_paths, seed, normals=normals)
+    record(ens)
     trace["ensemble"] = ens
-    return final, trace
+    return ctrl, trace
 
 
 # -- oracles for the linear-quadratic instance ------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 STREAM_TAGS = {
     "wiener": 1,      # driving cylindrical Wiener increments
     "moment": 2,      # sup-norm moment studies
-    "basis": 3,       # regression basis mixing
 }
 
 

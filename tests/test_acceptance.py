@@ -151,14 +151,17 @@ def test_criterion_06_duality_identity():
     problem = catalog_problem("lq-1d", seed=606)      # dt = T/128
     gamma = np.zeros(problem.domain.n_modes)
     gamma[0], gamma[2] = 1.0, 0.3
-    res_g = duality_residual(problem, forcing_gamma=gamma, n_paths=2000, seed=606)
-    res_e = duality_residual(problem, forcing_eta=problem.noise.b_coeffs,
-                             n_paths=2000, seed=606)
+    # both forcings pair on one zero-control ensemble and one q-sweep per grid
+    sol = sc.solve_adjoint_regression(
+        problem, problem.ensemble(constant_control_for(problem, 0.0), 2000, 606))
+    res_g = duality_residual(problem, sol, forcing_gamma=gamma)
+    res_e = duality_residual(problem, sol, forcing_eta=problem.noise.b_coeffs)
 
     fine = catalog_problem("lq-1d", n_steps=256, seed=606)
-    res_g2 = duality_residual(fine, forcing_gamma=gamma, n_paths=4000, seed=606)
-    res_e2 = duality_residual(fine, forcing_eta=fine.noise.b_coeffs,
-                              n_paths=4000, seed=606)
+    sol2 = sc.solve_adjoint_regression(
+        fine, fine.ensemble(constant_control_for(fine, 0.0), 4000, 606))
+    res_g2 = duality_residual(fine, sol2, forcing_gamma=gamma)
+    res_e2 = duality_residual(fine, sol2, forcing_eta=fine.noise.b_coeffs)
     # decrease under refinement, with a floor for residuals already at the
     # common-random-number noise level
     dec_ok = (res_g2["residual"] < res_g["residual"]) and \
@@ -201,7 +204,7 @@ def test_criterion_08_maximum_principle():
     control = ControlProcess(values=oracle["u_star"], space=problem.control_space)
     ens = problem.ensemble(control, 2000, 808)
     sol = sc.solve_adjoint_regression(problem, ens, compute_q=False)
-    rep = sc.check_maximum_principle(problem, control, sol,
+    rep = sc.check_maximum_principle(problem, sol,
                                      v_samples=problem.control_space.sample(21))
     lq_ok = rep["min_gap"] >= -1e-3
 
@@ -214,7 +217,7 @@ def test_criterion_08_maximum_principle():
                                        n_paths=200, seed=809, spec=spec)
     ens_c = cubic.ensemble(final, 400, 810)
     sol_c = sc.solve_adjoint_regression(cubic, ens_c, spec, compute_q=False)
-    rep_c = sc.check_maximum_principle(cubic, final, sol_c,
+    rep_c = sc.check_maximum_principle(cubic, sol_c,
                                        v_samples=cubic.control_space.sample(21),
                                        tol=1e-2)
     cubic_ok = rep_c["fraction_violating"] <= 0.01

@@ -1,10 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spdecontrol.adjoint import (AdjointPair, RegressionSpec, _StepRegressor,
+from spdecontrol.adjoint import (RegressionSpec, _StepRegressor, _default_features,
                                  adjoint_to_binary, backward_sweep, duality_residual,
                                  read_binary_adjoint, solve_adjoint_regression,
                                  weighted_norm_report)
@@ -90,14 +91,17 @@ class TestLQOracle:
         assert max(d["residual_z_max"] for d in sol.diagnostics) < 4.0
 
     def test_uniqueness_under_basis_mixing(self, lq_ensemble):
-        # an orthogonal recombination spans the same space, so the fitted
-        # conditional expectations must coincide
+        # an orthogonal recombination of the features spans the same space, so
+        # the fitted conditional expectations must coincide
         problem, ens = lq_ensemble
-        plain = solve_adjoint_regression(problem, ens, RegressionSpec(), compute_q=False)
-        mixed = solve_adjoint_regression(problem, ens, RegressionSpec(mixing_seed=99),
-                                         compute_q=False)
-        scale = np.max(np.abs(plain.p_values))
-        assert np.max(np.abs(plain.p_values - mixed.p_values)) < 1e-8 * scale
+        rng = np.random.default_rng(99)
+        for n in (1, 64, problem.n_steps - 1):
+            features = _default_features(ens.modes[:, n], RegressionSpec())
+            mix, _ = np.linalg.qr(rng.standard_normal((features.shape[1],) * 2))
+            target = ens.modes[:, n + 1]
+            plain = _StepRegressor(features).fit_predict(target)
+            mixed = _StepRegressor(features @ mix).fit_predict(target)
+            assert np.max(np.abs(plain - mixed)) < 1e-8 * np.max(np.abs(plain))
 
 
 class TestRegressor:
@@ -106,14 +110,19 @@ class TestRegressor:
         col = rng.standard_normal(200)
         feats = np.stack([col, col * (1 + 1e-14)], axis=1)
         with pytest.raises(RegressionError):
-            _StepRegressor(feats, RegressionSpec())
+            _StepRegressor(feats)
 
     def test_degenerate_columns_dropped(self):
         feats = np.ones((50, 3))   # zero variance everywhere
-        reg = _StepRegressor(feats, RegressionSpec())
+        reg = _StepRegressor(feats)
         assert reg.cond == 1.0
         fitted = reg.fit_predict(np.arange(50.0)[:, None])
         assert np.allclose(fitted, np.mean(np.arange(50.0)))
+
+
+def zero_control_sweep(problem, n_paths, seed, **kw):
+    ens = problem.ensemble(constant_control_for(problem, 0.0), n_paths, seed)
+    return solve_adjoint_regression(problem, ens, **kw)
 
 
 class TestDuality:
@@ -127,58 +136,46 @@ class TestDuality:
             terminal=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             terminal_dsigma=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             measure=ctl.Measure(kind="lebesgue"))
-        out = duality_residual(problem, forcing_gamma=None, forcing_eta=None,
-                               n_paths=100, seed=47)
+        sol = zero_control_sweep(problem, 100, 47, compute_q=False)
+        out = duality_residual(problem, sol, forcing_gamma=None, forcing_eta=None)
         assert out["lhs"] == 0.0 and out["rhs"] == 0.0 and out["residual"] == 0.0
 
     def test_gamma_side_small_residual(self):
         problem = catalog_problem("lq-1d", seed=48)
         gamma = np.zeros(problem.domain.n_modes)
         gamma[0], gamma[2] = 1.0, 0.3
-        out = duality_residual(problem, forcing_gamma=gamma, n_paths=500, seed=48)
+        sol = zero_control_sweep(problem, 500, 48, compute_q=False)
+        out = duality_residual(problem, sol, forcing_gamma=gamma)
         assert out["residual"] < 0.05
 
     def test_eta_side_small_residual(self):
         problem = catalog_problem("lq-1d", seed=49)
-        out = duality_residual(problem, forcing_eta=problem.noise.b_coeffs,
-                               n_paths=500, seed=49)
+        sol = zero_control_sweep(problem, 500, 49)
+        out = duality_residual(problem, sol, forcing_eta=problem.noise.b_coeffs)
         assert out["residual"] < 0.1
 
     @pytest.mark.parametrize("name", ["lq-1d", "cubic-1d"])
     def test_pairing_on_one_sweep_equals_separate_calls(self, name):
-        # one ensemble and one sweep with q (and another sobolev_s, which only
-        # weights the q norm) serve both forcings, bit for bit
+        # a sweep with q (and another sobolev_s, which only weights the q norm)
+        # pairs gamma bit for bit like a sweep without q of the same ensemble,
+        # so one q-sweep serves both forcings
         problem = catalog_problem(name, modes=8, n_steps=32, seed=52)
         gamma = np.zeros((problem.n_steps, problem.domain.n_modes))
         gamma[:, 0], gamma[:, 2] = 1.0, 0.3
-        eta = problem.noise.b_coeffs
         ens = problem.ensemble(constant_control_for(problem, 0.0), 100, 52)
-        sol = solve_adjoint_regression(problem, ens, sobolev_s=1.25)
-        assert duality_residual(problem, forcing_gamma=gamma, solution=sol) == \
-            duality_residual(problem, forcing_gamma=gamma, n_paths=100, seed=52)
-        assert duality_residual(problem, forcing_eta=eta, solution=sol) == \
-            duality_residual(problem, forcing_eta=eta, n_paths=100, seed=52)
+        with_q = solve_adjoint_regression(problem, ens, sobolev_s=1.25)
+        without_q = solve_adjoint_regression(problem, ens, compute_q=False)
+        assert duality_residual(problem, with_q, forcing_gamma=gamma) == \
+            duality_residual(problem, without_q, forcing_gamma=gamma)
 
     def test_pairing_needs_the_ensemble_and_q(self, lq_ensemble):
         problem, ens = lq_ensemble
         sol = solve_adjoint_regression(problem, ens, compute_q=False)
         with pytest.raises(ConfigurationError, match="compute_q"):
-            duality_residual(problem, forcing_eta=problem.noise.b_coeffs, solution=sol)
+            duality_residual(problem, sol, forcing_eta=problem.noise.b_coeffs)
         sol.ensemble = None
         with pytest.raises(ConfigurationError, match="forward ensemble"):
-            duality_residual(problem, forcing_gamma=np.ones(problem.domain.n_modes),
-                             solution=sol)
-
-    @pytest.mark.parametrize("arg", ["n_paths", "control", "seed", "spec", "n_steps"])
-    def test_pairing_rejects_simulation_arguments(self, lq_ensemble, arg):
-        # a given sweep fixes the control, paths and seed; nothing may silently override it
-        problem, ens = lq_ensemble
-        sol = solve_adjoint_regression(problem, ens, compute_q=False)
-        value = {"n_paths": 100, "control": ens.control, "seed": 52, "spec": RegressionSpec(),
-                 "n_steps": len(ens.control)}[arg]
-        with pytest.raises(ConfigurationError, match=arg):
-            duality_residual(problem, forcing_gamma=np.ones(problem.domain.n_modes),
-                             solution=sol, **{arg: value})
+            duality_residual(problem, sol, forcing_gamma=np.ones(problem.domain.n_modes))
 
 
 class TestWeightedNorms:
@@ -224,18 +221,15 @@ class TestExports:
         pair = sol.pair(0)
         path = tmp_path / "adjoint.bin"
         adjoint_to_binary(pair, path)
-        horizon, p, q = read_binary_adjoint(path)
+        horizon, p = read_binary_adjoint(path)
         assert horizon == problem.horizon
         assert np.array_equal(p, pair.p_coeffs)
-        assert q is None
 
-    def test_binary_with_q_block(self, tmp_path):
-        times = np.linspace(0.0, 0.5, 5)
-        rng = np.random.default_rng(0)
-        pair = AdjointPair(times=times, p_coeffs=rng.standard_normal((5, 3)),
-                           q_matrix=rng.standard_normal((4, 3, 3)))
+    @pytest.mark.parametrize("nk, has_q", [(3, 1), (3, 0)])
+    def test_q_block_header_is_refused(self, tmp_path, nk, has_q):
+        # the writer always puts N_K = 0 and has_q = 0; anything else is foreign input
         path = tmp_path / "adjoint_q.bin"
-        adjoint_to_binary(pair, path)
-        _, p, q = read_binary_adjoint(path)
-        assert np.array_equal(p, pair.p_coeffs)
-        assert np.array_equal(q, pair.q_matrix)
+        path.write_bytes(b"SPDA" + struct.pack("<IIdII", 3, 4, 0.5, nk, has_q)
+                         + bytes(8 * 5 * 3))
+        with pytest.raises(ConfigurationError, match="q block"):
+            read_binary_adjoint(path)

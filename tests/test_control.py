@@ -192,7 +192,7 @@ class TestMaximumPrinciple:
         control = ControlProcess(values=oracle["u_star"], space=problem.control_space)
         ens = problem.ensemble(control, 600, 61)
         sol = solve_adjoint_regression(problem, ens, compute_q=False)
-        report = check_maximum_principle(problem, control, sol)
+        report = check_maximum_principle(problem, sol)
         assert report["min_gap"] >= -1e-3
 
     def test_bad_control_shows_violations(self):
@@ -200,7 +200,7 @@ class TestMaximumPrinciple:
         control = constant_control_for(problem, 0.9)
         ens = problem.ensemble(control, 600, 62)
         sol = solve_adjoint_regression(problem, ens, compute_q=False)
-        report = check_maximum_principle(problem, control, sol)
+        report = check_maximum_principle(problem, sol)
         assert report["min_gap"] < -0.1
         assert report["fraction_violating"] > 0.05
 
@@ -210,7 +210,7 @@ class TestMaximumPrinciple:
         control = constant_control_for(problem, 0.2)
         ens = problem.ensemble(control, 200, 63)
         sol = solve_adjoint_regression(problem, ens, compute_q=False)
-        report = check_maximum_principle(problem, control, sol,
+        report = check_maximum_principle(problem, sol,
                                          v_samples=problem.control_space.sample(1))
         assert report["min_gap"] == 0.0 and report["fraction_violating"] == 0.0
 
@@ -243,13 +243,23 @@ class TestLQOracles:
 
 
 class TestOptimizer:
-    def test_zero_cost_stops_immediately(self):
+    def test_zero_cost_stops_immediately(self, monkeypatch):
         problem = catalog_problem("lq-1d", modes=8, n_steps=32, seed=66)
         problem.cost = zero_cost()
         control = constant_control_for(problem, 0.3)
+        ensembles, simulate = [], ctl.simulate_ensemble
+
+        def counting(*args, **kwargs):
+            ensembles.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(ctl, "simulate_ensemble", counting)
         final, trace = optimize_control(problem, control, iterations=10, n_paths=120, seed=66)
         assert len(trace["grad_norm"]) == 1
         assert np.array_equal(final.values, control.values)
+        # the control did not move, so its one ensemble is the final one
+        assert len(ensembles) == 1
+        assert trace["J"] == [trace["J"][0]] * 2 and trace["ensemble"].control is final
 
     def test_lq_descent_reaches_oracle(self):
         # the exact closed-form cost of the delivered control must come
@@ -289,7 +299,7 @@ class TestOptimizer:
                                                   step_rule=0.5, n_paths=200, seed=69)
                 ens = problem.ensemble(current, 200, 69)
                 sol = solve_adjoint_regression(problem, ens, compute_q=False)
-                report = check_maximum_principle(problem, current, sol)
+                report = check_maximum_principle(problem, sol)
                 magnitudes.append(max(0.0, -report["min_gap"]))
         assert magnitudes[1] <= magnitudes[0] + 1e-6
         assert magnitudes[2] <= magnitudes[1] + 1e-6
