@@ -10,6 +10,8 @@ vectorized and aggregation order is fixed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -21,13 +23,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .adjoint import (RegressionSpec, adjoint_to_binary, diagnostics_to_json,
-                      duality_residual, solve_adjoint_regression, weighted_norm_report)
+from .adjoint import (MIN_PATHS_PER_FEATURE, RegressionSpec, adjoint_to_binary,
+                      diagnostics_to_json, duality_residual, solve_adjoint_regression,
+                      weighted_norm_report)
 from .control import (ControlProblem, Measure, catalog_problem,
                       check_maximum_principle, constant_control_for, cost_of_ensemble,
                       lq_optimal_control, optimize_control, quadratic_cost,
                       sine_profile_coeffs)
-from .errors import ConfigurationError, SpdeControlError
+from .errors import ConfigurationError, GridError, SpdeControlError
 from .forward import ControlProcess, trajectory_to_binary, trajectory_to_csv
 from .noise import NoiseModel, sample_convolution, series_condition_v, supnorm_moment_study, trace_summand
 from .nonlinearity import drift_from_config
@@ -156,12 +159,19 @@ CONFIG_SCHEMA = {
 }
 
 
+@functools.cache
+def _config_validator() -> jsonschema.Draft202012Validator:
+    """The validator of ``CONFIG_SCHEMA``, its schema checked once per process."""
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    return jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def validate_config(config: dict) -> dict:
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    # the error jsonschema.validate would raise, without rebuilding the validator
+    err = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
+    if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigurationError(f"config invalid at {where}: {err.message}") from None
+        raise ConfigurationError(f"config invalid at {where}: {err.message}")
     # actionable re-checks of cross-field consistency
     if isinstance(config["problem"], dict):
         noise = config["problem"]["noise"]
@@ -325,16 +335,25 @@ def _run_noise_check(problem, seed, paths, num, study, out: Path) -> list[Path]:
 
 
 def _default_epsilons(problem):
-    return [problem.horizon / 8, problem.horizon / 16,
-            problem.horizon / 32, problem.horizon / 64]
+    """T/8 .. T/64 rounded down to whole steps; the widths shorter than a step are dropped."""
+    n_steps = problem.n_steps
+    widths = [n_steps // (8 << k) for k in range(4)]
+    epsilons = [problem.horizon * (w / n_steps) for w in widths if w >= 1]
+    if len(epsilons) < 3:
+        raise GridError(f"default spike widths need n_steps >= 32, got {n_steps}; "
+                        "raise n_steps or set study.epsilons")
+    return epsilons
+
+
+def _spike_args(problem, study):
+    epsilons = study["epsilons"] if "epsilons" in study else _default_epsilons(problem)
+    return dict(w=study.get("spike_w", 0.8), t0=study.get("spike_t0", problem.horizon / 2),
+                epsilons=epsilons)
 
 
 def _run_spike_orders(problem, seed, paths, num, study, out: Path) -> list[Path]:
     control = _base_control(problem, study)
-    report = spike_order_study(problem, control,
-                               w=study.get("spike_w", 0.8),
-                               t0=study.get("spike_t0", problem.horizon / 2),
-                               epsilons=study.get("epsilons", _default_epsilons(problem)),
+    report = spike_order_study(problem, control, **_spike_args(problem, study),
                                n_paths=paths, seed=seed)
     write_csv(out / "spike_orders.csv", ["epsilon", "quantity", "estimate", "stderr"],
               report["rows"])
@@ -347,10 +366,7 @@ def _run_spike_orders(problem, seed, paths, num, study, out: Path) -> list[Path]
 
 def _run_cost_expansion(problem, seed, paths, num, study, out: Path) -> list[Path]:
     control = _base_control(problem, study)
-    report = cost_expansion_check(problem, control,
-                                  w=study.get("spike_w", 0.8),
-                                  t0=study.get("spike_t0", problem.horizon / 2),
-                                  epsilons=study.get("epsilons", _default_epsilons(problem)),
+    report = cost_expansion_check(problem, control, **_spike_args(problem, study),
                                   n_paths=paths, seed=seed)
     write_csv(out / "cost_expansion.csv",
               ["epsilon", "delta_j", "first_order", "residual"], report["rows"])
@@ -364,7 +380,15 @@ def _regression_spec(num, problem, paths):
     spec = RegressionSpec(degree2=num.get("degree2_basis", False),
                           basis_modes=num.get("basis_modes"),
                           clip=num.get("clip", 1e3))
-    spec.check_paths(problem.domain.n_modes, paths)
+    n_modes = problem.domain.n_modes
+    if spec.basis_modes is None:
+        # the full basis over the path budget: keep the most modes that fit
+        fitting = (paths // MIN_PATHS_PER_FEATURE - 1) // (2 if spec.degree2 else 1)
+        if 1 <= fitting < n_modes:
+            spec = dataclasses.replace(spec, basis_modes=fitting)
+            print(f"note: {paths} paths cannot fit a regression on all {n_modes} modes; "
+                  f"using numerics.basis_modes = {fitting}", file=sys.stderr)
+    spec.check_paths(n_modes, paths)
     return spec
 
 

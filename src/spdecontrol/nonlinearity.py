@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NumericError
 
@@ -176,6 +175,8 @@ def yosida_resolvent(drift: NemytskiiDrift, alpha: float, sigma: float, u) -> fl
         lo, hi = sigma - 2 * (sigma - lo), sigma + 2 * (hi - sigma)
     else:
         raise NumericError(f"could not bracket the resolvent root for sigma={sigma}")
+
+    from scipy.optimize import brentq  # a slow import that only the Yosida helpers need
 
     root = brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)
     fp = 1.0 - alpha * float(drift.f_prime(root, u))

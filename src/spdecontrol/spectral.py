@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.fft
 
 from .errors import CapacityError, ConfigurationError
 
@@ -187,6 +186,8 @@ def _rowwise_product(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 def _dst_to_field(domain: SpectralDomain, coeffs: np.ndarray) -> np.ndarray:
     """``to_field`` by pocketfft DST-I: the large-N path and the test reference."""
+    import scipy.fft  # the package's slowest import; only transforms above 256 modes need it
+
     tens = np.zeros(coeffs.shape, dtype=float)
     tens[..., domain._tensor_index] = coeffs
     d = domain.dimension
@@ -199,6 +200,8 @@ def _dst_to_field(domain: SpectralDomain, coeffs: np.ndarray) -> np.ndarray:
 
 def _dst_to_coeffs(domain: SpectralDomain, field_values: np.ndarray) -> np.ndarray:
     """``to_coeffs`` by pocketfft DST-I: the large-N path and the test reference."""
+    import scipy.fft
+
     d = domain.dimension
     shape = field_values.shape[:-1] + (domain.n_modes_per_axis,) * d
     axes = tuple(range(-d, 0))

@@ -1,6 +1,9 @@
-"""Every name a package module imports is referenced in that module."""
+"""Package imports: every imported name is used, and start-up loads no more than it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,14 @@ def test_scanner_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.fft serves only transforms above 256 modes, scipy.optimize only the Yosida helpers
+    src = str(Path(spdecontrol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, spdecontrol, spdecontrol.cli\n"
+             "print(sorted(m for m in ('scipy.fft', 'scipy.optimize') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert run.stdout.strip() == "[]"
