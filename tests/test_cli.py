@@ -38,6 +38,10 @@ BALL_NOISE_CONFIG = {
 }
 
 
+def no_simulation(*args, **kwargs):
+    raise AssertionError("simulated before the configuration was checked")
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -215,9 +219,6 @@ class TestRunner:
     @pytest.mark.parametrize("subcommand", ["adjoint-check", "smp-check", "optimize", "selftest"])
     def test_path_budget_fails_before_simulation(self, tmp_path, monkeypatch, subcommand, capsys):
         # lq-1d's default basis has 17 features and wants 170 paths
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before the path budget was checked")
-
         monkeypatch.setattr(spdecontrol.forward, "_exp_euler", no_simulation)
         monkeypatch.setattr(spdecontrol.cli, "sample_convolution", no_simulation)
         # an explicit basis_modes is kept as given; selftest always uses the full basis
@@ -272,10 +273,6 @@ class TestStudyCallCounts:
         assert run("optimize", str(cfg), str(tmp_path / "out")) == 0
         assert len(normals) == self.LQ["numerics"]["paths"]
         assert len(ensembles) == iterations + 1
-
-
-def no_simulation(*args, **kwargs):
-    raise AssertionError("simulated before the configuration was checked")
 
 
 class TestDefaultEpsilons:
