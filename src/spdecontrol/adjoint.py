@@ -4,7 +4,13 @@ The backward recursion is the exact algebraic transpose of the forward
 exponential-Euler step, with conditional expectations realized by
 regression on basis functions of the current state's mode coefficients
 (Longstaff-Schwartz style).  q is extracted from the martingale increment
-at the same step, q_n = E[p_{n+1} (x) dW_n | F_n] / dt.
+at the same step, q_n = E[p_{n+1} (x) dW_n | F_n] / dt, and is kept in
+reduced form.  Its fitted values are the projection U U^T q_target, with U
+the regression's orthonormal factor; since the basis holds an intercept,
+the ensemble mean of the fit is the plain mean of the targets, and the
+per-path V'-norm is U_i M U_i^T with the F x F matrix M = C diag(w) C^T,
+C = U^T (p_{n+1} (x) dW_n) / dt.  No (P, N N_K) target or fitted array is
+built.
 
 Instead of the double smoothing used in the continuous theory (semigroup
 mollification of the data plus Lipschitz regularization of the drift), the
@@ -110,9 +116,12 @@ class AdjointSolution:
     """Regression solution over a forward ensemble.
 
     ``p_values[i, n]`` is the fitted conditional expectation for path i at
-    grid node n.  q is kept in reduced form: its ensemble mean per step and
-    the per-path weighted norm integrals, which is what the duality and
-    norm diagnostics consume.
+    grid node n.  q is kept in reduced form: its ensemble mean per step
+    (the mean of the regression targets p_{n+1} (x) dW_n / dt, which the
+    intercept makes equal to the mean of the fit) and the per-path weighted
+    norm integrals (U_i M U_i^T per step, from the F x F matrix M of the
+    fit's coefficients), which is what the duality and norm diagnostics
+    consume.
     """
 
     domain: SpectralDomain
@@ -197,11 +206,14 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
                 "residual_z_max": float(np.max(z))}
 
         if compute_q:
+            # the fit of q_target = p_next (x) dw / dt is U C with C = U^T q_target, built
+            # one feature at a time: one (N, P) @ (P, N_K) product each, which on lq-1d
+            # gives the same bytes at any BLAS thread count (a (P, N N_K) product did not)
             dw = ensemble.normals[:, n] * np.sqrt(dt)
-            q_target = (p_next[:, :, None] * dw[:, None, :] / dt).reshape(n_paths, -1)
-            q_fit = reg.fit_predict(q_target).reshape(n_paths, n_modes, n_modes)
-            mean_q[n] = q_fit.mean(axis=0)
-            iq += np.sum(vprime_w[None, :, None] * q_fit**2, axis=(1, 2)) * dt
+            mean_q[n] = p_next.T @ dw / (n_paths * dt)
+            c = np.stack([(u_f[:, None] * p_next).T @ dw for u_f in reg.u.T]) / dt
+            m = (c * vprime_w[:, None]).reshape(len(c), -1) @ c.reshape(len(c), -1).T
+            iq += np.sum((reg.u @ m) * reg.u, axis=1) * dt
 
         if forcing_fn is not None:
             p_fit = p_fit + wdrift * forcing_fn(n, modes[:, n])

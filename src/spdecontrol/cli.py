@@ -346,9 +346,11 @@ def _default_epsilons(problem):
 
 
 def _spike_args(problem, study):
+    """Spike value, start and widths; the default start is the last grid node at or before T/2."""
     epsilons = study["epsilons"] if "epsilons" in study else _default_epsilons(problem)
-    return dict(w=study.get("spike_w", 0.8), t0=study.get("spike_t0", problem.horizon / 2),
-                epsilons=epsilons)
+    # bitwise T/2 on an even step count
+    t0 = problem.horizon * ((problem.n_steps // 2) / problem.n_steps)
+    return dict(w=study.get("spike_w", 0.8), t0=study.get("spike_t0", t0), epsilons=epsilons)
 
 
 def _run_spike_orders(problem, seed, paths, num, study, out: Path) -> list[Path]:

@@ -275,6 +275,11 @@ def hamiltonian(problem: ControlProblem, t: float, modes: np.ndarray, p: np.ndar
     gives a (P,) result; a (V,) array of control values gives (V, P), all
     values sharing one transform of the state.  ``u_derivative=True``
     returns d_u H = d_u L + <p, d_u F>, the descent direction, instead.
+
+    The pairing is taken on the collocation grid: ``to_coeffs`` is
+    ``quad_weight * to_field^T`` (on the dense and on the DST-I path), so
+    <p, to_coeffs(f)> = quad_weight * sum_j to_field(p)_j f(sigma_j, u), and
+    one P-row transform of p replaces the analysis of the (V, P) reaction.
     """
     domain, cost, drift = problem.domain, problem.cost, problem.drift
     modes, p = np.asarray(modes, dtype=float), np.asarray(p, dtype=float)
@@ -285,9 +290,11 @@ def hamiltonian(problem: ControlProblem, t: float, modes: np.ndarray, p: np.ndar
         raise ConfigurationError("d_u H needs d_u l and d_u f; catalog problems have both")
     u = np.asarray(u, dtype=float)
     u_grid = u[..., None, None]                 # broadcasts against the (P, N) field
-    f_coeffs = domain.to_coeffs(reaction(domain.to_field(modes), u_grid))
+    reaction_values = reaction(domain.to_field(modes), u_grid)
+    pairing = domain.quad_weight * np.einsum("...pj,pj->...p", reaction_values,
+                                             domain.to_field(p))
     h = cost.integrate(domain, modes, lambda s: density(t, s, u_grid))
-    return np.broadcast_to(h + np.sum(p * f_coeffs, axis=-1), u.shape + modes.shape[:1])
+    return np.broadcast_to(h + pairing, u.shape + modes.shape[:1])
 
 
 def check_maximum_principle(problem: ControlProblem, solution: AdjointSolution,

@@ -196,6 +196,9 @@ def spike_order_study(problem: ControlProblem, control: ControlProcess,
     epsilons = sorted(float(e) for e in epsilons)
     if len(epsilons) < 3:
         raise ConfigurationError("need at least three epsilons to fit an order")
+    spikes = [SpikeConfig(t0=t0, epsilon=eps, w=w) for eps in epsilons]
+    # every window is checked against the grid before the base ensemble is simulated
+    windows = [_spike_window(control, spike, problem.horizon) for spike in spikes]
     seed = seed if seed is not None else problem.noise.seed
     domain = problem.domain
     n_steps = len(control)
@@ -204,9 +207,7 @@ def spike_order_study(problem: ControlProblem, control: ControlProcess,
 
     rows = []
     sup2 = {}
-    for eps in epsilons:
-        spike = SpikeConfig(t0=t0, epsilon=eps, w=w)
-        spiked_control, start = _spike_window(control, spike, problem.horizon)
+    for eps, spike, (spiked_control, start) in zip(epsilons, spikes, windows):
         tail = _spiked_tail(problem, base, spiked_control, start)
         y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
 
@@ -241,6 +242,9 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
     epsilons = sorted(float(e) for e in epsilons)
     if len(epsilons) < 3:
         raise ConfigurationError("need at least three epsilons to fit an order")
+    spikes = [SpikeConfig(t0=t0, epsilon=eps, w=w) for eps in epsilons]
+    # every window is checked against the grid before the base ensemble is simulated
+    windows = [_spike_window(control, spike, problem.horizon) for spike in spikes]
     seed = seed if seed is not None else problem.noise.seed
     domain, cost = problem.domain, problem.cost
     n_steps = len(control)
@@ -251,9 +255,7 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
     wq = trapezoid_weights(n_steps, dt)
 
     rows = []
-    for eps in epsilons:
-        spike = SpikeConfig(t0=t0, epsilon=eps, w=w)
-        spiked_control, start = _spike_window(control, spike, problem.horizon)
+    for eps, spike, (spiked_control, start) in zip(epsilons, spikes, windows):
         perturbed = _spiked_ensemble(problem, base, spiked_control, start)
         j_spiked = cost_of_ensemble(problem, perturbed)
         delta_j = float((j_spiked - j_base).mean())

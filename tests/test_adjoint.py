@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -11,7 +12,7 @@ from spdecontrol.adjoint import (RegressionSpec, _StepRegressor, _default_featur
                                  weighted_norm_report)
 from spdecontrol.control import catalog_problem, constant_control_for, lq_adjoint_oracle
 from spdecontrol.errors import ConfigurationError, InstabilityError, RegressionError
-from spdecontrol.forward import constant_control, weight_cell_integrals
+from spdecontrol.forward import ControlProcess, constant_control, weight_cell_integrals
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,74 @@ class TestBackwardSweep:
         tiny = problem.ensemble(control, 20, 1)
         with pytest.raises(ConfigurationError):
             solve_adjoint_regression(problem, tiny)
+
+
+def full_fit_q(problem, sol, spec, sobolev_s):
+    """mean_q and per-step V'-norm integrals from the (P, N^2) q-target fit, per step."""
+    ens, dom = sol.ensemble, problem.domain
+    n_paths, n_plus, n_modes = ens.modes.shape
+    vprime_w = (1.0 + dom.eigenvalues) ** (-sobolev_s)
+    mean_q, iq_steps = np.empty((n_plus - 1, n_modes, n_modes)), np.empty((n_plus - 1, n_paths))
+    for n in range(n_plus - 1):
+        reg = _StepRegressor(_default_features(ens.modes[:, n], spec))
+        dw = ens.normals[:, n] * math.sqrt(ens.dt)
+        target = (sol.p_values[:, n + 1, :, None] * dw[:, None, :] / ens.dt).reshape(n_paths, -1)
+        q_fit = reg.fit_predict(target).reshape(n_paths, n_modes, n_modes)
+        mean_q[n] = q_fit.mean(axis=0)
+        iq_steps[n] = np.sum(vprime_w[:, None] * q_fit**2, axis=(1, 2)) * ens.dt
+    return mean_q, iq_steps
+
+
+def rel_err(value, reference):
+    return float(np.max(np.abs(value - reference)) / np.max(np.abs(reference)))
+
+
+class TestReducedQ:
+    """The reduced-form q equals the (P, N^2) regression of the q targets to rounding."""
+
+    @pytest.mark.parametrize("name", ["lq-1d", "cubic-1d"])
+    @pytest.mark.parametrize("spec", [RegressionSpec(), RegressionSpec(degree2=True),
+                                      RegressionSpec(basis_modes=3)],
+                             ids=["full", "degree2", "basis_modes"])
+    def test_matches_the_full_fit(self, name, spec):
+        problem = catalog_problem(name, modes=8, n_steps=32, seed=53)
+        ens = problem.ensemble(constant_control_for(problem, 0.2), 200, 53)
+        sol = solve_adjoint_regression(problem, ens, spec, sobolev_s=1.25)
+        mean_q, iq_steps = full_fit_q(problem, sol, spec, 1.25)
+        assert rel_err(sol.mean_q, mean_q) < 1e-12
+        assert rel_err(sol.q_weighted_per_path, iq_steps.sum(axis=0)) < 1e-12
+
+    def test_step_zero_fits_the_intercept_only(self, lq_ensemble):
+        # every path starts at x0: all features have zero variance at step 0,
+        # so the fit is the plain mean; a one-step sweep isolates that step
+        problem, ens = lq_ensemble
+        spec = RegressionSpec()
+        assert not _StepRegressor(_default_features(ens.modes[:, 0], spec)).keep.any()
+        sol = solve_adjoint_regression(problem, ens, spec)
+        mean_q, iq_steps = full_fit_q(problem, sol, spec, problem.domain.dimension / 2.0 + 0.5)
+        assert rel_err(sol.mean_q[0], mean_q[0]) < 1e-12
+        first = dataclasses.replace(ens, times=ens.times[:2], modes=ens.modes[:, :2],
+                                    normals=ens.normals[:, :1],
+                                    control=ControlProcess(values=ens.control.values[:1],
+                                                           space=ens.control.space))
+        step0 = backward_sweep(problem.domain, first, problem.drift, sol.p_values[:, 1], None, spec)
+        assert rel_err(step0.mean_q[0], mean_q[0]) < 1e-12
+        assert rel_err(step0.q_weighted_per_path, iq_steps[0]) < 1e-12
+
+    @pytest.mark.parametrize("compute_q", [False, True])
+    def test_one_regression_per_step(self, lq_ensemble, monkeypatch, compute_q):
+        # q takes no fit of its own: a (P, N^2) q regression must not come back
+        problem, ens = lq_ensemble
+        fits = []
+        original = _StepRegressor.fit_predict
+
+        def counting(self, targets):
+            fits.append(targets.shape)
+            return original(self, targets)
+
+        monkeypatch.setattr(_StepRegressor, "fit_predict", counting)
+        solve_adjoint_regression(problem, ens, compute_q=compute_q)
+        assert fits == [(ens.n_paths, problem.domain.n_modes)] * problem.n_steps
 
 
 class TestLQOracle:

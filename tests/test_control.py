@@ -16,7 +16,7 @@ from spdecontrol.errors import ConfigurationError, ShapeError
 from spdecontrol.forward import ControlProcess, constant_control
 from spdecontrol.noise import NoiseModel
 from spdecontrol.nonlinearity import ControlSpace, NemytskiiDrift, linear_drift
-from spdecontrol.spectral import make_domain
+from spdecontrol.spectral import DENSE_TRANSFORM_MAX_MODES, make_domain
 
 
 def zero_cost(measure=None):
@@ -172,6 +172,30 @@ class TestHamiltonian:
         fd = (h_plus - h_minus) / (2.0 * du)
         assert np.allclose(hamiltonian(problem, 0.1, modes, p, u, u_derivative=True),
                            fd, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("name, modes", [("lq-1d", 8), ("cubic-1d", 8), ("dirac-2d", 8),
+                                             ("cubic-1d", DENSE_TRANSFORM_MAX_MODES + 44)])
+    @pytest.mark.parametrize("u, u_derivative", [(0.3, False), (np.linspace(-1.0, 1.0, 5), False),
+                                                 (np.linspace(-1.0, 1.0, 5), True)],
+                             ids=["scalar", "values", "d_u"])
+    def test_collocation_pairing_matches_the_transform(self, name, modes, u, u_derivative):
+        # <p, to_coeffs(f)> = quad_weight * sum_j to_field(p)_j f_j, on the dense
+        # sine matrix and, above DENSE_TRANSFORM_MAX_MODES, on the DST-I path
+        problem = catalog_problem(name, modes=modes)
+        domain, cost, drift = problem.domain, problem.cost, problem.drift
+        rng = np.random.default_rng(3)
+        x = 0.3 * rng.standard_normal((6, domain.n_modes))
+        p = rng.standard_normal((6, domain.n_modes))
+        density, reaction = ((cost.running_du, drift.f_u) if u_derivative
+                             else (cost.running, drift.f))
+        u_grid = np.asarray(u)[..., None, None]
+        f_coeffs = domain.to_coeffs(np.broadcast_to(
+            reaction(domain.to_field(x), u_grid), u_grid.shape[:-2] + x.shape))
+        reference = (cost.integrate(domain, x, lambda s: density(0.2, s, u_grid))
+                     + np.sum(p * f_coeffs, axis=-1))
+        h = hamiltonian(problem, 0.2, x, p, u, u_derivative=u_derivative)
+        assert h.shape == reference.shape == np.shape(u) + (6,)
+        assert np.max(np.abs(h - reference)) < 1e-12 * np.max(np.abs(reference))
 
     def test_shape_and_configuration_errors(self):
         problem = catalog_problem("lq-1d", modes=8, n_steps=32)
