@@ -207,8 +207,8 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
 
         if compute_q:
             # the fit of q_target = p_next (x) dw / dt is U C with C = U^T q_target, built
-            # one feature at a time: one (N, P) @ (P, N_K) product each, which on lq-1d
-            # gives the same bytes at any BLAS thread count (a (P, N N_K) product did not)
+            # one feature at a time: an (N, P) @ (P, N_K) product each, small enough to give
+            # the same bytes at 1 and 2 BLAS threads on lq-1d
             dw = ensemble.normals[:, n] * np.sqrt(dt)
             mean_q[n] = p_next.T @ dw / (n_paths * dt)
             c = np.stack([(u_f[:, None] * p_next).T @ dw for u_f in reg.u.T]) / dt
