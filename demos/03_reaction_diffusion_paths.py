@@ -9,7 +9,8 @@ Run:  python3 demos/03_reaction_diffusion_paths.py
 
 import numpy as np
 
-from spdecontrol import catalog_problem, trajectory_to_binary, trajectory_to_csv
+from spdecontrol import (catalog_problem, read_binary_trajectory, trajectory_to_binary,
+                         trajectory_to_csv)
 from spdecontrol.control import constant_control_for, cost_of_ensemble
 
 problem = catalog_problem("cubic-1d", modes=32, n_steps=128, seed=2024)
@@ -37,4 +38,6 @@ print("  " + " ".join(f"{v:+.2f}" for v in profile[::4]))
 traj = ens.trajectory(0)
 trajectory_to_csv(traj, "/tmp/cubic_path0.csv")
 trajectory_to_binary(traj, "/tmp/cubic_path0.bin")
+horizon, coeffs = read_binary_trajectory("/tmp/cubic_path0.bin")   # lossless round trip
+assert horizon == problem.horizon and np.array_equal(coeffs, traj.mode_coeffs)
 print("\nexported path 0 to /tmp/cubic_path0.{csv,bin}")

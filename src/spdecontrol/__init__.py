@@ -5,22 +5,19 @@ __version__ = "0.1.0"
 
 from .spectral import (DomainKind, SpectralDomain, make_domain, eigenpairs,
                        semigroup_apply, ultracontractivity_witness,
-                       fractional_power_diag, weyl_count, regularity_threshold)
+                       weyl_count, regularity_threshold)
 from .nonlinearity import (NemytskiiDrift, ControlSpace, cubic_drift, linear_drift,
-                           bistable_drift, drift_from_config, apply_drift,
-                           apply_drift_jacobian, yosida_resolvent, yosida_drift)
+                           bistable_drift, drift_from_config)
 from .noise import (NoiseModel, ConvolutionSample, sample_convolution, trace_summand,
                     series_condition_v, supnorm_moment_study,
                     sample_singular_process, factorization_reconstruct)
 from .forward import (ControlProcess, StateTrajectory, EnsembleStates,
-                      constant_control, simulate_state, simulate_ensemble,
-                      simulate_auxiliary, estimate_forward_bound,
+                      constant_control, simulate_ensemble,
                       trajectory_to_csv, trajectory_to_binary, read_binary_trajectory)
-from .variation import (SpikeConfig, spike_perturb, first_variation,
-                        spike_order_study, cost_expansion_check)
+from .variation import SpikeConfig, spike_order_study, cost_expansion_check
 from .adjoint import (AdjointPair, AdjointSolution, RegressionSpec,
                       solve_adjoint_regression, duality_residual, weighted_norm_report)
 from .control import (Measure, CostSpec, ControlProblem, quadratic_cost,
-                      catalog_problem, evaluate_cost, hamiltonian,
+                      catalog_problem, hamiltonian,
                       check_maximum_principle, optimize_control,
                       lq_optimal_control, lq_adjoint_oracle)

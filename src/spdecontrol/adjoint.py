@@ -262,8 +262,9 @@ def duality_residual(problem, solution: AdjointSolution, forcing_gamma=None,
     Both sides of  E int <p, gamma> dt + E int <q, eta> dt
                  = E int <f, y> dt + E <zeta, y(T)>
     are estimated on the sweep's forward ensemble, under its control and on
-    its noise; the returned relative residual is
-    |LHS - RHS| / (|LHS| + |RHS| + floor).  Several forcings thus share one
+    its noise; gamma is constant (N,) or per step (n_steps, N) in mode
+    coefficients and eta a diagonal (N,).  The returned relative residual
+    is |LHS - RHS| / (|LHS| + |RHS| + floor).  Several forcings thus share one
     ensemble and one sweep.  An eta forcing pairs with q and needs a sweep
     taken with ``compute_q=True``.  p does not depend on whether q was
     computed, and ``sobolev_s`` only weights the q norm, so a gamma pairing
@@ -278,20 +279,19 @@ def duality_residual(problem, solution: AdjointSolution, forcing_gamma=None,
     n_paths, n_steps, dt = ens.n_paths, len(control), ens.dt
 
     lhs = 0.0
+    gamma_fn = None
     if forcing_gamma is not None:
         g = np.asarray(forcing_gamma, dtype=float)
         if g.ndim == 1:
             g = np.broadcast_to(g, (n_steps, g.size))
         lhs += float(np.sum(solution.p_mean[:-1] * g) * dt)
+        gamma_fn = lambda n, _: g[n]
+    y = linearized_modes(domain, problem.drift, ens.modes, ens.normals,
+                         control.values, dt, gamma_fn=gamma_fn, forcing_eta=forcing_eta)
     if forcing_eta is not None:
-        e = np.asarray(forcing_eta, dtype=float)
-        if e.ndim == 1:
-            e = np.diag(e)
+        e = np.diag(np.asarray(forcing_eta, dtype=float))
         lhs += float(np.einsum("nkj,kj->", solution.mean_q, e) * dt)
 
-    y = linearized_modes(domain, problem.drift, ens.modes, ens.normals,
-                         control.values, dt, forcing_gamma=forcing_gamma,
-                         forcing_eta=forcing_eta)
     cost = problem.cost
     rhs_paths = np.zeros(n_paths)
     for n in range(n_steps):

@@ -254,17 +254,6 @@ def cost_of_ensemble(problem: ControlProblem, ens: EnsembleStates) -> np.ndarray
     return total
 
 
-def evaluate_cost(problem: ControlProblem, control: ControlProcess, n_paths: int,
-                  seed: Optional[int] = None) -> dict:
-    """Monte Carlo cost estimate with its standard error."""
-    if n_paths < 2:
-        raise ConfigurationError("need at least two paths for a standard error")
-    ens = problem.ensemble(control, n_paths, seed if seed is not None else problem.noise.seed)
-    vals = cost_of_ensemble(problem, ens)
-    return {"J": float(vals.mean()),
-            "stderr": float(vals.std(ddof=1) / math.sqrt(n_paths))}
-
-
 # -- Hamiltonian and the maximum-principle check ---------------------------------
 
 def hamiltonian(problem: ControlProblem, t: float, modes: np.ndarray, p: np.ndarray,
@@ -457,8 +446,8 @@ def lq_exact_cost(problem: ControlProblem, u_values: np.ndarray) -> float:
     """Closed-form trapezoid cost of the lq-1d instance under a given control.
 
     Mean and variance of every mode follow the exact one-step recursions of
-    the simulator, so this reproduces what ``evaluate_cost`` estimates by
-    Monte Carlo, without sampling error.
+    the simulator, so this reproduces the mean of ``cost_of_ensemble`` over
+    a Monte Carlo ensemble, without sampling error.
     """
     d, h = _lq_discrete_system(problem)
     n_steps, dt = problem.n_steps, problem.dt

@@ -21,14 +21,6 @@ class ShapeError(SpdeControlError, ValueError):
     """Array arguments with incompatible shapes."""
 
 
-class NumericError(SpdeControlError, ValueError):
-    """Non-finite data encountered; ``index`` locates the offending entry."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class InstabilityError(SpdeControlError, RuntimeError):
     """Simulation blow-up; ``step`` names the first offending time step."""
 

@@ -11,12 +11,12 @@ convolution.
 One core, ``_exp_euler``, holds the nonlinear step and its blow-up guard
 for a batch of paths: ``simulate_ensemble`` drives it with per-path
 normals (fresh, or those of an earlier ensemble to rerun its noise under
-another control), ``simulate_state`` with a batch of one, and the spike
-reruns of ``variation`` from the base states at the spike start with the
-base normals from there on.
-``linearized_modes`` solves the linearized equation with forcings
-(gamma, eta) along a batch of base paths, reusing their normals, which is
-what the spike-variation and duality machinery need.
+another control), and the spike reruns of ``variation`` from the base
+states at the spike start with the base normals from there on.
+``linearized_modes`` solves the linearized equation with a forcing gamma
+and a diagonal noise coefficient eta along a batch of base paths, reusing
+their normals, which is what the spike-variation and duality machinery
+need.
 """
 
 from __future__ import annotations
@@ -60,27 +60,15 @@ def constant_control(space: ControlSpace, value: float, n_steps: int) -> Control
 
 @dataclass
 class StateTrajectory:
+    """One stored path, as the trajectory exporters write it."""
+
     domain: SpectralDomain
     times: np.ndarray          # (n_steps + 1,)
     mode_coeffs: np.ndarray    # (n_steps + 1, N)
-    control: Optional[ControlProcess]
-    path_seed: object          # RNG provenance (seed spec or "derived")
-    normals: Optional[np.ndarray] = None  # (n_steps, N) driving normals
 
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def field_values(self) -> np.ndarray:
-        """Collocation values of every stored state, shape (n_steps + 1, N)."""
-        return self.domain.to_field(self.mode_coeffs)
-
-    def sup_norms(self) -> np.ndarray:
-        return self.domain.sup_norm(self.mode_coeffs)
 
 
 # -- core integrator ----------------------------------------------------------
@@ -101,12 +89,12 @@ def _check_stability(drift: NemytskiiDrift, dt: float):
 
 def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np.ndarray,
                x0: np.ndarray, increments: np.ndarray, dt: float,
-               blowup_bound: float, first_step: int = 0) -> np.ndarray:
+               first_step: int = 0) -> np.ndarray:
     """Exponential-Euler paths driven by per-step increments of shape (P, n_steps, N).
 
     Returns modes of shape (P, n_steps + 1, N).  The sup-norm over all
     paths is checked at every grid node, the last one included; a
-    non-finite value or one above ``blowup_bound`` raises
+    non-finite value or one above ``BLOWUP_BOUND`` raises
     ``InstabilityError`` naming the node, counted from ``first_step`` when
     the paths start later than t = 0.
     """
@@ -118,10 +106,10 @@ def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np
     for n in range(n_steps + 1):
         field = domain.to_field(state)
         peak = np.max(np.abs(field))
-        if not np.isfinite(peak) or peak > blowup_bound:
+        if not np.isfinite(peak) or peak > BLOWUP_BOUND:
             step = first_step + n
             raise InstabilityError(
-                f"state sup-norm {peak:.3e} exceeded {blowup_bound:.1e} at step {step}",
+                f"state sup-norm {peak:.3e} exceeded {BLOWUP_BOUND:.1e} at step {step}",
                 step=step)
         if n == n_steps:
             break
@@ -129,38 +117,6 @@ def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np
         state = decay * state + wdrift * reaction + increments[:, n]
         modes[:, n + 1] = state
     return modes
-
-
-def simulate_state(domain: SpectralDomain, drift: NemytskiiDrift, noise: NoiseModel,
-                   control: ControlProcess, x0: np.ndarray, n_steps: int, horizon: float,
-                   path_seed, *, noise_increments: Optional[np.ndarray] = None,
-                   blowup_bound: float = BLOWUP_BOUND) -> StateTrajectory:
-    """Sample one mild-solution path of the controlled equation.
-
-    ``path_seed`` feeds the driving normals unless explicit per-step
-    ``noise_increments`` are supplied (used to rerun a path under a
-    different control with identical noise).
-    """
-    if len(control) != n_steps:
-        raise ShapeError(f"control has {len(control)} values for {n_steps} steps")
-    _check_stability(drift, horizon / n_steps)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (domain.n_modes,):
-        raise ShapeError(f"x0 must have shape ({domain.n_modes},), got {x0.shape}")
-
-    dt = horizon / n_steps
-    normals = None
-    if noise_increments is None:
-        normals = wiener_normals(path_seed, n_steps, domain.n_modes)
-        noise_increments = convolution_increments(domain, noise, normals, dt)
-    elif noise_increments.shape != (n_steps, domain.n_modes):
-        raise ShapeError("noise_increments shape mismatch")
-
-    coeffs = _exp_euler(domain, drift, control.values, x0, noise_increments[None], dt,
-                        blowup_bound)[0]
-    return StateTrajectory(domain=domain, times=np.linspace(0.0, horizon, n_steps + 1),
-                           mode_coeffs=coeffs, control=control, path_seed=path_seed,
-                           normals=normals)
 
 
 @dataclass
@@ -184,16 +140,15 @@ class EnsembleStates:
 
     def trajectory(self, i: int) -> StateTrajectory:
         return StateTrajectory(domain=self.domain, times=self.times,
-                               mode_coeffs=self.modes[i], control=self.control,
-                               path_seed=(self.root_seed, "wiener", i),
-                               normals=self.normals[i])
+                               mode_coeffs=self.modes[i])
 
 
 def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: NoiseModel,
                       control: ControlProcess, x0: np.ndarray, n_steps: int, horizon: float,
-                      n_paths: int, root_seed: int, *, normals: Optional[np.ndarray] = None,
-                      blowup_bound: float = BLOWUP_BOUND) -> EnsembleStates:
-    """Multi-path version of ``simulate_state`` (shared control).
+                      n_paths: int, root_seed: int, *,
+                      normals: Optional[np.ndarray] = None) -> EnsembleStates:
+    """Sample ``n_paths`` mild-solution paths under one control, path ``i``
+    driven by the normals of stream ``(root_seed, "wiener", i)``.
 
     Passing the ``normals`` of an earlier ensemble reruns its noise paths
     under another control from t = 0.
@@ -201,6 +156,8 @@ def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: Nois
     if len(control) != n_steps:
         raise ShapeError(f"control has {len(control)} values for {n_steps} steps")
     _check_stability(drift, horizon / n_steps)
+    if np.shape(x0) != (domain.n_modes,):
+        raise ShapeError(f"x0 must have shape ({domain.n_modes},), got {np.shape(x0)}")
     dt = horizon / n_steps
     if normals is None:
         normals = np.stack([
@@ -210,55 +167,38 @@ def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: Nois
         raise ShapeError(f"normals must have shape {(n_paths, n_steps, domain.n_modes)}, "
                          f"got {normals.shape}")
     incr = convolution_increments(domain, noise, normals, dt)
-    modes = _exp_euler(domain, drift, control.values, x0, incr, dt, blowup_bound)
+    modes = _exp_euler(domain, drift, control.values, x0, incr, dt)
     return EnsembleStates(domain=domain, times=np.linspace(0.0, horizon, n_steps + 1),
                           modes=modes, normals=normals, control=control, root_seed=root_seed)
 
 
 # -- linearized equation with forcings ----------------------------------------
 
-def _gamma_at(forcing_gamma, n: int, n_modes: int):
-    if forcing_gamma is None:
-        return 0.0
-    arr = np.asarray(forcing_gamma, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape != (n_modes,):
-            raise ShapeError("constant gamma forcing must be one mode vector")
-        return arr
-    return arr[n]
-
-
-def _eta_at(forcing_eta, n: int):
-    if forcing_eta is None:
-        return None
-    arr = np.asarray(forcing_eta, dtype=float)
-    if arr.ndim <= 2:
-        return arr
-    return arr[n]
-
-
 def linearized_modes(domain: SpectralDomain, drift: NemytskiiDrift,
                      base_modes: np.ndarray, normals, control_values: np.ndarray,
-                     dt: float, forcing_gamma=None, forcing_eta=None,
-                     gamma_fn=None) -> np.ndarray:
+                     dt: float, gamma_fn=None, forcing_eta=None) -> np.ndarray:
     """Vectorized linearized dynamics along a batch of base paths.
 
     Solves dy = [A y + f'(X_t, u_t) y + gamma] dt + eta dW with y(0) = 0 for
-    ``base_modes`` of shape (P, n_steps + 1, N), reusing the base normals.
-    ``gamma_fn(n, base_step_modes) -> (P, N)`` may supply a state-dependent
-    forcing instead of the array form.  Returns modes (P, n_steps + 1, N).
-    A non-finite solution raises ``InstabilityError`` naming the first step
-    that produced one (checked once, after the loop).
+    ``base_modes`` of shape (P, n_steps + 1, N): the multiplication
+    coefficient is frozen per step at the base state, ``gamma_fn(n,
+    base_step_modes) -> (P, N)`` (or a broadcastable (N,)) supplies the
+    forcing in mode coefficients, and the diagonal ``forcing_eta`` (N,)
+    scales the base path's own ``normals`` (shared noise).  Returns modes
+    (P, n_steps + 1, N).  A non-finite solution raises ``InstabilityError``
+    naming the first step that produced one (checked once, after the loop).
     """
     n_paths, n_plus, n_modes = base_modes.shape
     n_steps = n_plus - 1
     if control_values.size != n_steps:
         raise ShapeError(f"control has {control_values.size} values for {n_steps} steps")
-    if forcing_eta is not None and normals is None:
-        raise ConfigurationError("eta forcing needs the base path's stored normals")
-    gamma_arr = None if forcing_gamma is None else np.asarray(forcing_gamma, dtype=float)
-    if gamma_arr is not None and gamma_arr.ndim == 2 and gamma_arr.shape[0] != n_steps:
-        raise ShapeError("per-step gamma forcing must have one row per step")
+    if forcing_eta is not None:
+        if normals is None:
+            raise ConfigurationError("eta forcing needs the base path's stored normals")
+        forcing_eta = np.asarray(forcing_eta, dtype=float)
+        if forcing_eta.shape != (n_modes,):
+            raise ShapeError(f"eta must be a diagonal of shape ({n_modes},), "
+                             f"got {forcing_eta.shape}")
 
     decay, wdrift = _step_weights(domain, dt)
     _, sd = ou_factors(domain.eigenvalues, dt)
@@ -266,21 +206,13 @@ def linearized_modes(domain: SpectralDomain, drift: NemytskiiDrift,
     y = np.zeros((n_paths, n_modes))
     for n in range(n_steps):
         forcing = np.zeros((n_paths, n_modes))
-        if gamma_arr is not None:
-            forcing += _gamma_at(gamma_arr, n, n_modes)
         if gamma_fn is not None:
             forcing += gamma_fn(n, base_modes[:, n])
         mult = drift.f_prime(domain.to_field(base_modes[:, n]), control_values[n])
         forcing += domain.to_coeffs(mult * domain.to_field(y))
-        eta_n = _eta_at(forcing_eta, n)
-        if eta_n is not None:
-            eta_n = np.asarray(eta_n, dtype=float)
-            if eta_n.ndim == 1:
-                y = decay * y + wdrift * forcing + eta_n * sd * normals[:, n]
-            else:
-                y = decay * y + wdrift * forcing + normals[:, n] @ (eta_n * sd[:, None]).T
-        else:
-            y = decay * y + wdrift * forcing
+        y = decay * y + wdrift * forcing
+        if forcing_eta is not None:
+            y += forcing_eta * sd * normals[:, n]
         out[:, n + 1] = y
     if not np.isfinite(out).all():
         # row n + 1 is the result of step n, which read base_modes[:, n]
@@ -290,77 +222,12 @@ def linearized_modes(domain: SpectralDomain, drift: NemytskiiDrift,
     return out
 
 
-def simulate_auxiliary(domain: SpectralDomain, drift: NemytskiiDrift,
-                       base: StateTrajectory, control: ControlProcess,
-                       forcing_gamma=None, forcing_eta=None) -> StateTrajectory:
-    """Linearized dynamics along ``base`` with forcings (gamma, eta).
-
-    dy = [A y + f'(X_t, u_t) y + gamma] dt + eta dW,  y(0) = 0, where the
-    multiplication coefficient is frozen per step at the base state and the
-    Wiener increments are those of the base path (shared noise).
-    ``forcing_gamma`` is given in mode coefficients, constant (N,) or
-    per-step (n_steps, N); ``forcing_eta`` as per-mode diagonal (N,) or a
-    mode-by-noise-mode matrix (N, N), optionally per step.
-    """
-    normals = base.normals[None] if base.normals is not None else None
-    coeffs = linearized_modes(domain, drift, base.mode_coeffs[None], normals,
-                              control.values, base.dt, forcing_gamma=forcing_gamma,
-                              forcing_eta=forcing_eta)[0]
-    return StateTrajectory(domain=domain, times=base.times, mode_coeffs=coeffs,
-                           control=control, path_seed=base.path_seed,
-                           normals=base.normals)
-
-
 def weight_cell_integrals(horizon: float, n_steps: int, exponent: float) -> np.ndarray:
     """Exact integrals of (T - s)^exponent over each grid cell (singular at s=T allowed)."""
     edges = np.linspace(0.0, horizon, n_steps + 1)
     tau = horizon - edges
     q = exponent + 1.0
     return (tau[:-1] ** q - tau[1:] ** q) / q
-
-
-def estimate_forward_bound(domain: SpectralDomain, aux_paths: list[StateTrajectory],
-                           forcing_gamma=None, forcing_eta=None, *, r: float = 4.0,
-                           sobolev_s: Optional[float] = None) -> dict:
-    """Monte Carlo sides of the a-priori bound E int |y|_sup^2 dt <= C * rhs.
-
-    rhs combines the (T-s)^(-lambda)-weighted L2 norm of gamma and the
-    V-weighted Hilbert-Schmidt norm of eta, each raised to r/2, then taken
-    to the power 2/r.  The ratio lhs/rhs is invariant under joint forcing
-    rescalings, which is what the tests pin down.
-    """
-    if len(aux_paths) == 0:
-        raise ConfigurationError("need at least one auxiliary path")
-    first = aux_paths[0]
-    n_steps, horizon = first.n_steps, float(first.times[-1])
-    dt = first.dt
-    if sobolev_s is None:
-        sobolev_s = domain.dimension / 2.0 + 0.5
-
-    sup2 = np.array([np.sum(p.sup_norms()[:-1] ** 2) * dt for p in aux_paths])
-    lhs = float(sup2.mean())
-
-    lam = domain.lambda_exponent
-    cells = weight_cell_integrals(horizon, n_steps, -lam)
-    rhs_gamma = 0.0
-    if forcing_gamma is not None:
-        g = np.asarray(forcing_gamma, dtype=float)
-        if g.ndim == 1:
-            g = np.broadcast_to(g, (n_steps, g.size))
-        rhs_gamma = float(np.sum(np.sum(g**2, axis=1) * cells) ** (r / 2.0))
-
-    rhs_eta = 0.0
-    if forcing_eta is not None:
-        e = np.asarray(forcing_eta, dtype=float)
-        vw = (1.0 + domain.eigenvalues) ** sobolev_s
-        if e.ndim == 1:
-            hs = float(np.sum(vw * e**2))
-        else:
-            hs = float(np.sum(vw[:, None] * e**2))
-        rhs_eta = (hs * horizon) ** (r / 2.0)
-
-    rhs = (rhs_gamma + rhs_eta) ** (2.0 / r) if (rhs_gamma + rhs_eta) > 0 else 0.0
-    return {"lhs": lhs, "rhs": rhs, "rhs_gamma_term": rhs_gamma, "rhs_eta_term": rhs_eta}
 
 
 # -- exports -------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .rng import make_rng, seed_sequence
-from .spectral import DomainKind, SpectralDomain, make_domain, regularity_threshold
+from .spectral import DomainKind, SpectralDomain, make_domain
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,6 @@ class NoiseModel:
     @property
     def b_coeffs(self) -> np.ndarray:
         return self.domain.eigenvalues ** (-self.gamma)
-
-    @property
-    def is_regular(self) -> bool:
-        """Recomputed on every access; never cached stale."""
-        return self.gamma > regularity_threshold(self.domain.dimension,
-                                                 self.domain.kind, self.alpha)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 A drift is a scalar function f(sigma, u) with derivative bounded above
 (f' <= beta), so the reaction part never destabilizes the heat flow even
-without a global Lipschitz bound.  ``yosida_resolvent``/``yosida_drift``
-give the standard Lipschitz regularization f_alpha = f o (I - alpha f)^-1.
+without a global Lipschitz bound.  The steppers evaluate ``f`` and ``f'``
+on the collocation values of the state; in the truncated spectral setting
+no Lipschitz regularization of f is needed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -123,68 +124,3 @@ def drift_from_config(config: dict) -> NemytskiiDrift:
         raise ConfigurationError(f"unknown drift kind {kind!r}; known: {sorted(_CATALOG)}")
     return _CATALOG[kind](**cfg)
 
-
-# -- operations ------------------------------------------------------------
-
-def _check_finite(values: np.ndarray, what: str):
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise NumericError(f"non-finite {what} at index {idx}", index=idx)
-
-
-def apply_drift(drift: NemytskiiDrift, state_values: np.ndarray, u) -> np.ndarray:
-    """Pointwise reaction: out_j = f(state_j, u)."""
-    state_values = np.asarray(state_values, dtype=float)
-    _check_finite(state_values, "state value")
-    return np.asarray(drift.f(state_values, u), dtype=float)
-
-
-def apply_drift_jacobian(drift: NemytskiiDrift, state_values: np.ndarray, u,
-                         direction: np.ndarray) -> np.ndarray:
-    """Multiplication-operator differential: out_j = f'(state_j, u) * dir_j."""
-    state_values = np.asarray(state_values, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    _check_finite(state_values, "state value")
-    _check_finite(direction, "direction value")
-    return np.asarray(drift.f_prime(state_values, u), dtype=float) * direction
-
-
-def yosida_resolvent(drift: NemytskiiDrift, alpha: float, sigma: float, u) -> float:
-    """Unique root r of r - alpha*f(r, u) = sigma.
-
-    Requires alpha*beta < 1 so that r -> r - alpha f(r) is strictly
-    increasing; solved by bracketed root finding to 1e-12, polished with a
-    Newton step when f' is available.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    beta = drift.dissipativity_bound
-    if alpha * beta >= 1.0:
-        raise ConfigurationError(
-            f"resolvent needs alpha*beta < 1; got alpha={alpha}, beta={beta}")
-
-    def g(r):
-        return r - alpha * float(drift.f(r, u)) - sigma
-
-    pad = alpha * drift.growth_const * (1.0 + abs(sigma) ** drift.growth_degree) + 1.0
-    lo, hi = sigma - pad, sigma + pad
-    for _ in range(60):
-        if g(lo) <= 0.0 <= g(hi):
-            break
-        lo, hi = sigma - 2 * (sigma - lo), sigma + 2 * (hi - sigma)
-    else:
-        raise NumericError(f"could not bracket the resolvent root for sigma={sigma}")
-
-    from scipy.optimize import brentq  # a slow import that only the Yosida helpers need
-
-    root = brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    fp = 1.0 - alpha * float(drift.f_prime(root, u))
-    if fp > 0:
-        root -= g(root) / fp
-    return float(root)
-
-
-def yosida_drift(drift: NemytskiiDrift, alpha: float, sigma: float, u) -> float:
-    """Lipschitz regularization f_alpha(sigma, u) = f(J_alpha(sigma, u), u)."""
-    return float(drift.f(yosida_resolvent(drift, alpha, sigma, u), u))

@@ -269,13 +269,6 @@ def ultracontractivity_witness(domain: SpectralDomain, t: float, probe: np.ndarr
     return float(domain.sup_norm(semigroup_apply(domain, t, probe)) / norm)
 
 
-def fractional_power_diag(domain: SpectralDomain, gamma: float) -> np.ndarray:
-    """Diagonal of (-A)^(-gamma); all entries in (0, 1] since mu_k >= 1 here."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    return domain.eigenvalues ** (-gamma)
-
-
 def weyl_count(domain: SpectralDomain, mu: float) -> int:
     """Number of computed eigenvalues not exceeding mu."""
     if mu < 0:

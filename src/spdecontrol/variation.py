@@ -27,8 +27,8 @@ import numpy as np
 
 from .control import ControlProblem, cost_of_ensemble, trapezoid_weights
 from .errors import ConfigurationError, GridError, InstabilityError
-from .forward import (BLOWUP_BOUND, ControlProcess, EnsembleStates, StateTrajectory,
-                      _exp_euler, linearized_modes, simulate_ensemble)
+from .forward import (ControlProcess, EnsembleStates, _exp_euler, linearized_modes,
+                      simulate_ensemble)
 from .noise import convolution_increments
 from .spectral import SpectralDomain
 
@@ -70,11 +70,6 @@ def _spike_window(control: ControlProcess, spike: SpikeConfig,
     return ControlProcess(values=values, space=control.space), start
 
 
-def spike_perturb(control: ControlProcess, spike: SpikeConfig, horizon: float) -> ControlProcess:
-    """Control equal to w on the spike window and unchanged elsewhere."""
-    return _spike_window(control, spike, horizon)[0]
-
-
 def _spiked_tail(problem: ControlProblem, base: EnsembleStates,
                  spiked: ControlProcess, start: int) -> np.ndarray:
     """Rows ``start:`` of the rerun of ``base`` under ``spiked`` on the same noise.
@@ -85,7 +80,7 @@ def _spiked_tail(problem: ControlProblem, base: EnsembleStates,
     domain, dt = problem.domain, problem.horizon / len(spiked)
     increments = convolution_increments(domain, problem.noise, base.normals[:, start:], dt)
     return _exp_euler(domain, problem.drift, spiked.values[start:], base.modes[:, start],
-                      increments, dt, BLOWUP_BOUND, first_step=start)
+                      increments, dt, first_step=start)
 
 
 def _spiked_ensemble(problem: ControlProblem, base: EnsembleStates,
@@ -97,16 +92,16 @@ def _spiked_ensemble(problem: ControlProblem, base: EnsembleStates,
                           normals=base.normals, control=spiked, root_seed=base.root_seed)
 
 
-def _first_variation_modes(domain: SpectralDomain, drift, base_modes: np.ndarray,
-                           control: ControlProcess, spike: SpikeConfig,
-                           times: np.ndarray) -> tuple[np.ndarray, int]:
-    """Y for (P, n_steps + 1, N) base paths from the spike start on, and that start.
+def first_variation_ensemble(domain: SpectralDomain, drift, base: EnsembleStates,
+                             spike: SpikeConfig) -> np.ndarray:
+    """Y along every base path from the spike start on, shape (P, n_steps + 1 - start, N).
 
-    Y is exactly zero up to the spike start, so only the rows from it on are
-    stepped and returned, shape (P, n_steps + 1 - start, N).  The forcing is
-    the drift mismatch and has no noise term.
+    Row ``i`` is grid node ``start + i``; Y is exactly zero before the
+    spike start, so those rows are not built.  The forcing is the drift
+    mismatch and has no noise term.
     """
-    spiked, start = _spike_window(control, spike, float(times[-1]))
+    control = base.control
+    spiked, start = _spike_window(control, spike, float(base.times[-1]))
     base_values, spiked_values = control.values[start:], spiked.values[start:]
 
     def gamma_fn(n, modes):
@@ -118,37 +113,12 @@ def _first_variation_modes(domain: SpectralDomain, drift, base_modes: np.ndarray
                                 - drift.f(fields, base_values[n]))
 
     try:
-        rows = linearized_modes(domain, drift, base_modes[:, start:], None,
-                                base_values, float(times[1] - times[0]),
-                                gamma_fn=gamma_fn)
+        return linearized_modes(domain, drift, base.modes[:, start:], None, base_values,
+                                base.dt, gamma_fn=gamma_fn)
     except InstabilityError as err:
         step = start + err.step
         raise InstabilityError(f"first variation turned non-finite in step {step}",
                                step=step) from err
-    return rows, start
-
-
-def first_variation(domain: SpectralDomain, drift, base: StateTrajectory,
-                    spike: SpikeConfig) -> StateTrajectory:
-    """Linearized response Y to the spike's drift mismatch along ``base``."""
-    rows, start = _first_variation_modes(domain, drift, base.mode_coeffs[None], base.control,
-                                         spike, base.times)
-    coeffs = np.zeros(base.mode_coeffs.shape)
-    coeffs[start:] = rows[0]
-    return StateTrajectory(domain=domain, times=base.times, mode_coeffs=coeffs,
-                           control=base.control, path_seed=base.path_seed,
-                           normals=base.normals)
-
-
-def first_variation_ensemble(domain: SpectralDomain, drift, base: EnsembleStates,
-                             spike: SpikeConfig) -> np.ndarray:
-    """Y along every base path from the spike start on, shape (P, n_steps + 1 - start, N).
-
-    Row ``i`` is grid node ``start + i``; Y is exactly zero before the
-    spike start, so those rows are not built.
-    """
-    return _first_variation_modes(domain, drift, base.modes, base.control, spike,
-                                  base.times)[0]
 
 
 def fit_loglog(epsilons, estimates, stderrs=None, drop_rel_stderr: float = 0.25):
@@ -185,6 +155,26 @@ def fit_loglog(epsilons, estimates, stderrs=None, drop_rel_stderr: float = 0.25)
             "stderr": float(np.sqrt(cov[0, 0])), "used": int(keep.sum())}
 
 
+def _spike_study_setup(problem: ControlProblem, control: ControlProcess, w: float,
+                       t0: float, epsilons, n_paths: int, seed):
+    """Sorted epsilons, (spike, spiked control, start) per epsilon, and the base ensemble.
+
+    Every window is checked against the grid before the base ensemble is
+    simulated; ``seed`` defaults to the problem's noise seed.
+    """
+    epsilons = sorted(float(e) for e in epsilons)
+    if len(epsilons) < 3:
+        raise ConfigurationError("need at least three epsilons to fit an order")
+    spikes = []
+    for eps in epsilons:
+        spike = SpikeConfig(t0=t0, epsilon=eps, w=w)
+        spikes.append((spike, *_spike_window(control, spike, problem.horizon)))
+    seed = seed if seed is not None else problem.noise.seed
+    base = simulate_ensemble(problem.domain, problem.drift, problem.noise, control,
+                             problem.x0, len(control), problem.horizon, n_paths, seed)
+    return epsilons, spikes, base
+
+
 def spike_order_study(problem: ControlProblem, control: ControlProcess,
                       w: float, t0: float, epsilons, n_paths: int = 200,
                       seed=None) -> dict:
@@ -193,21 +183,12 @@ def spike_order_study(problem: ControlProblem, control: ControlProcess,
     Every epsilon reruns the same noise paths; expected slopes are about 2
     for xi and Y and strictly larger for eta.
     """
-    epsilons = sorted(float(e) for e in epsilons)
-    if len(epsilons) < 3:
-        raise ConfigurationError("need at least three epsilons to fit an order")
-    spikes = [SpikeConfig(t0=t0, epsilon=eps, w=w) for eps in epsilons]
-    # every window is checked against the grid before the base ensemble is simulated
-    windows = [_spike_window(control, spike, problem.horizon) for spike in spikes]
-    seed = seed if seed is not None else problem.noise.seed
+    epsilons, spikes, base = _spike_study_setup(problem, control, w, t0, epsilons,
+                                                n_paths, seed)
     domain = problem.domain
-    n_steps = len(control)
-    base = simulate_ensemble(domain, problem.drift, problem.noise, control, problem.x0,
-                             n_steps, problem.horizon, n_paths, seed)
-
     rows = []
     sup2 = {}
-    for eps, spike, (spiked_control, start) in zip(epsilons, spikes, windows):
+    for spike, spiked_control, start in spikes:
         tail = _spiked_tail(problem, base, spiked_control, start)
         y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
 
@@ -218,7 +199,7 @@ def spike_order_study(problem: ControlProblem, control: ControlProcess,
             sup_t = np.max(domain.sup_norm(arr), axis=1) ** 2     # per path
             est = float(sup_t.mean())
             se = float(sup_t.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-            rows.append({"epsilon": eps, "quantity": label, "estimate": est, "stderr": se})
+            rows.append({"epsilon": spike.epsilon, "quantity": label, "estimate": est, "stderr": se})
             sup2.setdefault(label, []).append((est, se))
 
     slopes = {}
@@ -239,23 +220,15 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
     E int [delta L + D_x L . Y] dt + E[D_x G(X_T) Y_T], all under common
     random numbers; its log-log slope should exceed 1.
     """
-    epsilons = sorted(float(e) for e in epsilons)
-    if len(epsilons) < 3:
-        raise ConfigurationError("need at least three epsilons to fit an order")
-    spikes = [SpikeConfig(t0=t0, epsilon=eps, w=w) for eps in epsilons]
-    # every window is checked against the grid before the base ensemble is simulated
-    windows = [_spike_window(control, spike, problem.horizon) for spike in spikes]
-    seed = seed if seed is not None else problem.noise.seed
+    epsilons, spikes, base = _spike_study_setup(problem, control, w, t0, epsilons,
+                                                n_paths, seed)
     domain, cost = problem.domain, problem.cost
     n_steps = len(control)
-    base = simulate_ensemble(domain, problem.drift, problem.noise, control, problem.x0,
-                             n_steps, problem.horizon, n_paths, seed)
-    dt = base.dt
     j_base = cost_of_ensemble(problem, base)
-    wq = trapezoid_weights(n_steps, dt)
+    wq = trapezoid_weights(n_steps, base.dt)
 
     rows = []
-    for eps, spike, (spiked_control, start) in zip(epsilons, spikes, windows):
+    for spike, spiked_control, start in spikes:
         perturbed = _spiked_ensemble(problem, base, spiked_control, start)
         j_spiked = cost_of_ensemble(problem, perturbed)
         delta_j = float((j_spiked - j_base).mean())
@@ -275,7 +248,7 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
         first_order += np.sum(dg * y_modes[:, -1], axis=1)
 
         residual = abs(delta_j - float(first_order.mean()))
-        rows.append({"epsilon": eps, "delta_j": delta_j,
+        rows.append({"epsilon": spike.epsilon, "delta_j": delta_j,
                      "first_order": float(first_order.mean()), "residual": residual})
 
     fit = fit_loglog(epsilons, [r["residual"] for r in rows])

@@ -9,7 +9,7 @@ import spdecontrol.control as ctl
 from spdecontrol.adjoint import solve_adjoint_regression
 from spdecontrol.control import (ControlProblem, CostSpec, Measure, catalog_problem,
                                  check_maximum_principle, constant_control_for,
-                                 cost_of_ensemble, evaluate_cost, hamiltonian,
+                                 cost_of_ensemble, hamiltonian,
                                  lq_exact_cost, lq_optimal_control, optimize_control,
                                  quadratic_cost, sine_profile_coeffs)
 from spdecontrol.errors import ConfigurationError, ShapeError
@@ -29,12 +29,20 @@ def zero_cost(measure=None):
                     measure=measure or Measure(kind="lebesgue"))
 
 
+def mc_cost(problem, control, n_paths):
+    """Monte Carlo cost estimate and its standard error, at the problem's noise seed."""
+    vals = cost_of_ensemble(problem, problem.ensemble(control, n_paths, problem.noise.seed))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
+
+
 class TestEvaluateCost:
+    """Realized costs of simulated ensembles."""
+
     def test_zero_cost(self):
         problem = catalog_problem("lq-1d", modes=8, n_steps=32, seed=51)
         problem.cost = zero_cost()
-        out = evaluate_cost(problem, constant_control_for(problem, 0.4), 16)
-        assert out["J"] == 0.0 and out["stderr"] == 0.0
+        cost, stderr = mc_cost(problem, constant_control_for(problem, 0.4), 16)
+        assert cost == 0.0 and stderr == 0.0
 
     def test_pure_control_cost_exact(self):
         problem = catalog_problem("lq-1d", modes=8, n_steps=32, seed=52)
@@ -45,8 +53,8 @@ class TestEvaluateCost:
             terminal_dsigma=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             measure=Measure(kind="lebesgue"))
         u0 = 0.7
-        out = evaluate_cost(problem, constant_control_for(problem, u0), 8)
-        assert out["J"] == pytest.approx(problem.horizon * u0**2, rel=1e-10)
+        cost, _ = mc_cost(problem, constant_control_for(problem, u0), 8)
+        assert cost == pytest.approx(problem.horizon * u0**2, rel=1e-10)
 
     def test_lq_uncontrolled_cost_matches_ou_moments(self):
         # closed form: E X_k(t)^2 = x0_k^2 e^{-2 nu t} + b_k^2 (1-e^{-2 nu t})/(2 nu)
@@ -59,8 +67,8 @@ class TestEvaluateCost:
             decay = 1.0 - math.exp(-2.0 * nu[k] * horizon)
             exact += 0.5 * (x0[k] ** 2 * decay / (2 * nu[k])
                             + b[k] ** 2 / (2 * nu[k]) * (horizon - decay / (2 * nu[k])))
-        out = evaluate_cost(problem, constant_control_for(problem, 0.0), 400)
-        assert abs(out["J"] - exact) < 3 * out["stderr"] + 0.01 * exact
+        cost, stderr = mc_cost(problem, constant_control_for(problem, 0.0), 400)
+        assert abs(cost - exact) < 3 * stderr + 0.01 * exact
 
     def test_dirac_cost_by_point_reconstruction(self):
         problem = catalog_problem("dirac-2d", seed=54)
@@ -257,8 +265,8 @@ class TestLQOracles:
         u = np.full(problem.n_steps, 0.25)
         exact = lq_exact_cost(problem, u)
         control = ControlProcess(values=u, space=problem.control_space)
-        out = evaluate_cost(problem, control, 400)
-        assert abs(out["J"] - exact) < 3.5 * out["stderr"]
+        cost, stderr = mc_cost(problem, control, 400)
+        assert abs(cost - exact) < 3.5 * stderr
 
     def test_oracle_requires_linear_drift(self):
         problem = catalog_problem("cubic-1d", modes=8, n_steps=64)

@@ -231,11 +231,6 @@ class TestNoiseModelInvariants:
         noise = NoiseModel(dom, 0.7, 0.25, 1)
         assert np.array_equal(noise.b_coeffs, dom.eigenvalues ** -0.7)
 
-    def test_regularity_flag_recomputed(self):
-        dom = make_domain(2, 4)
-        assert NoiseModel(dom, 0.3, 0.25, 1).is_regular is True   # 0.3 > 0.25
-        assert NoiseModel(dom, 0.2, 0.25, 1).is_regular is False
-
     def test_parameter_guards(self):
         dom = make_domain(1, 4)
         with pytest.raises(ConfigurationError):

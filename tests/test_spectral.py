@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from spdecontrol.errors import CapacityError, ConfigurationError
 from spdecontrol.spectral import (DENSE_TRANSFORM_MAX_MODES, DomainKind, _dst_to_coeffs,
-                                  _dst_to_field, eigenpairs, fractional_power_diag,
-                                  make_domain, regularity_threshold, semigroup_apply,
+                                  _dst_to_field, eigenpairs, make_domain,
+                                  regularity_threshold, semigroup_apply,
                                   ultracontractivity_witness, weyl_count)
 
 
@@ -133,26 +133,6 @@ class TestUltracontractivity:
         dom = make_domain(1, 8)
         with pytest.raises(ValueError):
             ultracontractivity_witness(dom, 0.5, np.zeros(8))
-
-
-class TestFractionalPowers:
-    def test_identity_at_zero(self):
-        dom = make_domain(1, 5)
-        assert np.all(fractional_power_diag(dom, 0.0) == 1.0)
-
-    def test_mode_three_1d(self):
-        dom = make_domain(1, 5)
-        assert fractional_power_diag(dom, 1.0)[2] == pytest.approx(1.0 / 9.0)
-
-    def test_mode_21_2d(self):
-        dom = make_domain(2, 3)
-        i = [tuple(k) for k in dom.mode_indices].index((2, 1))
-        assert fractional_power_diag(dom, 0.5)[i] == pytest.approx(5.0 ** -0.5)
-
-    def test_range(self):
-        dom = make_domain(2, 4)
-        vals = fractional_power_diag(dom, 0.7)
-        assert np.all(vals > 0) and np.all(vals <= 1.0)
 
 
 class TestWeylCount:

@@ -12,62 +12,71 @@ import spdecontrol.forward
 import spdecontrol.variation
 from spdecontrol.control import catalog_problem, constant_control_for
 from spdecontrol.errors import ConfigurationError, GridError, InstabilityError
-from spdecontrol.forward import constant_control, linearized_modes, simulate_state
+from spdecontrol.forward import constant_control, linearized_modes, simulate_ensemble
 from spdecontrol.noise import NoiseModel
 from spdecontrol.nonlinearity import ControlSpace, linear_drift
 from spdecontrol.spectral import make_domain
-from spdecontrol.variation import (SpikeConfig, _spiked_ensemble, cost_expansion_check,
-                                   first_variation, first_variation_ensemble, fit_loglog,
-                                   spike_order_study, spike_perturb)
+from spdecontrol.variation import (SpikeConfig, _spike_window, _spiked_ensemble,
+                                   cost_expansion_check, first_variation_ensemble, fit_loglog,
+                                   spike_order_study)
 
 SPACE = ControlSpace(kind="interval", lower=-1.0, upper=1.0)
 
 
 class TestSpikePerturb:
+    """Spiked controls and their windows, as ``_spike_window`` builds them."""
+
     def test_zero_width_rejected(self):
         ctrl = constant_control(SPACE, 0.0, 10)
         with pytest.raises(GridError):
-            spike_perturb(ctrl, SpikeConfig(t0=0.5, epsilon=0.0, w=1.0), 1.0)
+            _spike_window(ctrl, SpikeConfig(t0=0.5, epsilon=0.0, w=1.0), 1.0)
 
     def test_misaligned_rejected(self):
         ctrl = constant_control(SPACE, 0.0, 10)
         with pytest.raises(GridError):
-            spike_perturb(ctrl, SpikeConfig(t0=0.55, epsilon=0.1, w=1.0), 1.0)
+            _spike_window(ctrl, SpikeConfig(t0=0.55, epsilon=0.1, w=1.0), 1.0)
 
     def test_spike_at_boundary_rejected(self):
         ctrl = constant_control(SPACE, 0.0, 10)
         with pytest.raises(GridError):
-            spike_perturb(ctrl, SpikeConfig(t0=0.0, epsilon=0.1, w=1.0), 1.0)
+            _spike_window(ctrl, SpikeConfig(t0=0.0, epsilon=0.1, w=1.0), 1.0)
         with pytest.raises(GridError):
-            spike_perturb(ctrl, SpikeConfig(t0=0.9, epsilon=0.1, w=1.0), 1.0)
+            _spike_window(ctrl, SpikeConfig(t0=0.9, epsilon=0.1, w=1.0), 1.0)
 
     def test_noop_spike(self):
         ctrl = constant_control(SPACE, 0.3, 10)
-        out = spike_perturb(ctrl, SpikeConfig(t0=0.5, epsilon=0.1, w=0.3), 1.0)
+        out, _ = _spike_window(ctrl, SpikeConfig(t0=0.5, epsilon=0.1, w=0.3), 1.0)
         assert np.array_equal(out.values, ctrl.values)
 
     def test_indicator_construction(self):
         ctrl = constant_control(SPACE, 0.0, 10)
-        out = spike_perturb(ctrl, SpikeConfig(t0=0.5, epsilon=0.1, w=1.0), 1.0)
+        out, start = _spike_window(ctrl, SpikeConfig(t0=0.5, epsilon=0.1, w=1.0), 1.0)
         expected = np.zeros(10)
         expected[5] = 1.0
-        assert np.array_equal(out.values, expected)
+        assert np.array_equal(out.values, expected) and start == 5
 
 
-def _linear_base(n_steps=128, modes=16, seed=4, u0=0.0):
+def _linear_base(n_steps=128, modes=16, seed=4, u0=0.0, n_paths=2):
     dom = make_domain(1, modes)
     noise = NoiseModel(dom, 0.5, 0.25, seed)
     ctrl = constant_control(SPACE, u0, n_steps)
-    base = simulate_state(dom, linear_drift(), noise, ctrl, np.zeros(modes),
-                          n_steps, 1.0, (seed, "wiener", 0))
+    base = simulate_ensemble(dom, linear_drift(), noise, ctrl, np.zeros(modes),
+                             n_steps, 1.0, n_paths, seed)
     return dom, base
+
+
+def _full_horizon(y, base):
+    """First-variation rows from the spike start on, zero-padded to every grid node."""
+    out = np.zeros(base.modes.shape)
+    out[:, out.shape[1] - y.shape[1]:] = y
+    return out
 
 
 class TestFirstVariation:
     def test_noop_spike_gives_zero(self):
         dom, base = _linear_base()
-        y = first_variation(dom, linear_drift(), base, SpikeConfig(0.5, 0.125, 0.0))
-        assert np.all(y.mode_coeffs == 0.0)
+        y = first_variation_ensemble(dom, linear_drift(), base, SpikeConfig(0.5, 0.125, 0.0))
+        assert np.all(y == 0.0)
 
     def test_linear_drift_closed_form(self):
         # response of mode k to a unit control bump on [t0, t0+eps):
@@ -87,39 +96,37 @@ class TestFirstVariation:
         errs = []
         for n_steps in (64, 128):
             dom, base = _linear_base(n_steps=n_steps)
-            y = first_variation(dom, linear_drift(), base, SpikeConfig(t0, eps, w))
+            y = first_variation_ensemble(dom, linear_drift(), base, SpikeConfig(t0, eps, w))
             nu = dom.eigenvalues + 1.0
             integral = (np.exp(-nu * (1.0 - (t0 + eps))) - np.exp(-nu * (1.0 - t0))) / nu
             expected = w * dom.ones_coeffs() * integral
-            errs.append(np.max(np.abs(y.mode_coeffs[-1] - expected)))
+            errs.append(np.max(np.abs(y[:, -1] - expected)))
         assert errs[1] < errs[0]
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.35)
 
     def test_linearity_in_control_bump(self):
         dom, base = _linear_base()
-        y1 = first_variation(dom, linear_drift(), base, SpikeConfig(0.5, 0.125, 0.4))
-        y2 = first_variation(dom, linear_drift(), base, SpikeConfig(0.5, 0.125, 0.8))
-        assert np.allclose(2.0 * y1.mode_coeffs, y2.mode_coeffs, atol=1e-13)
+        y1 = first_variation_ensemble(dom, linear_drift(), base, SpikeConfig(0.5, 0.125, 0.4))
+        y2 = first_variation_ensemble(dom, linear_drift(), base, SpikeConfig(0.5, 0.125, 0.8))
+        assert np.allclose(2.0 * y1, y2, atol=1e-13)
 
     def test_disjoint_spike_superposition(self):
         dom, base = _linear_base()
         s1, s2 = SpikeConfig(0.25, 0.0625, 0.5), SpikeConfig(0.625, 0.0625, 0.5)
-        y1 = first_variation(dom, linear_drift(), base, s1)
-        y2 = first_variation(dom, linear_drift(), base, s2)
+        y1 = _full_horizon(first_variation_ensemble(dom, linear_drift(), base, s1), base)
+        y2 = _full_horizon(first_variation_ensemble(dom, linear_drift(), base, s2), base)
         ctrl = base.control
-        both = spike_perturb(spike_perturb(ctrl, s1, 1.0), s2, 1.0)
-        # build the two-spike response through the single-spike machinery
-        from spdecontrol.forward import linearized_modes
+        both = _spike_window(_spike_window(ctrl, s1, 1.0)[0], s2, 1.0)[0]
 
+        # build the two-spike response through the single-spike machinery
         def gamma_fn(n, modes):
             fields = dom.to_field(modes)
             diff = linear_drift().f(fields, both.values[n]) - linear_drift().f(fields, ctrl.values[n])
             return dom.to_coeffs(diff)
 
-        y12 = linearized_modes(dom, linear_drift(), base.mode_coeffs[None],
-                               base.normals[None], ctrl.values, base.dt,
-                               gamma_fn=gamma_fn)[0]
-        assert np.max(np.abs(y12 - y1.mode_coeffs - y2.mode_coeffs)) < 1e-13
+        y12 = linearized_modes(dom, linear_drift(), base.modes, base.normals, ctrl.values,
+                               base.dt, gamma_fn=gamma_fn)
+        assert np.max(np.abs(y12 - y1 - y2)) < 1e-13
 
 
 class TestSpikeOrderStudy:
@@ -146,7 +153,7 @@ class TestSpikeOrderStudy:
         control = constant_control_for(problem, 0.0)
         base = problem.ensemble(control, 4, 32)
         spike = SpikeConfig(0.5, 0.125, 0.8)
-        spiked = spike_perturb(control, spike, 1.0)
+        spiked, _ = _spike_window(control, spike, 1.0)
         pert = problem.ensemble(spiked, 4, 32, normals=base.normals)
         n_start = int(round(0.5 / base.dt))
         assert np.array_equal(pert.modes[:, : n_start + 1], base.modes[:, : n_start + 1])
@@ -159,7 +166,7 @@ class TestSpikeOrderStudy:
         control = constant_control_for(problem, 0.0)
         base = problem.ensemble(control, 16, 33)
         spike = SpikeConfig(0.5, 0.125, 0.8)
-        spiked = spike_perturb(control, spike, 1.0)
+        spiked, _ = _spike_window(control, spike, 1.0)
         pert = problem.ensemble(spiked, 16, 33, normals=base.normals)
         dom, drift = problem.domain, problem.drift
         dt = base.dt
@@ -203,7 +210,7 @@ class TestSpikeWindow:
     @pytest.mark.parametrize("spike", SPIKES)
     def test_rerun_equals_full_horizon_rerun(self, cubic, spike):
         problem, control, base = cubic
-        spiked = spike_perturb(control, spike, problem.horizon)
+        spiked, _ = _spike_window(control, spike, problem.horizon)
         start = int(round(spike.t0 / base.dt))
         window = _spiked_ensemble(problem, base, spiked, start)
         full = problem.ensemble(spiked, base.n_paths, 41, normals=base.normals)
@@ -214,7 +221,7 @@ class TestSpikeWindow:
     def test_first_variation_equals_full_horizon_solve(self, cubic, spike):
         problem, control, base = cubic
         dom, drift = problem.domain, problem.drift
-        spiked = spike_perturb(control, spike, problem.horizon)
+        spiked, _ = _spike_window(control, spike, problem.horizon)
 
         def gamma_fn(n, modes):
             if spiked.values[n] == control.values[n]:
@@ -232,19 +239,6 @@ class TestSpikeWindow:
         assert np.array_equal(y, reference[:, start:]) and np.all(reference[:, :start] == 0.0)
         assert np.all(y[:, 0] == 0.0) and np.any(y[:, 1] != 0.0)
 
-    def test_single_path_equals_ensemble_row(self, cubic):
-        problem, _, base = cubic
-        spike = self.SPIKES[0]
-        y = first_variation(problem.domain, problem.drift, base.trajectory(0), spike)
-        ensemble = first_variation_ensemble(problem.domain, problem.drift, base, spike)[0]
-        # the same solve on a batch of one; BLAS may round a one-row product
-        # differently from a 16-row one, so equality is to rounding
-        start = int(round(spike.t0 / base.dt))
-        assert y.mode_coeffs.shape == base.modes.shape[1:]
-        assert np.all(y.mode_coeffs[:start + 1] == 0.0)
-        np.testing.assert_allclose(y.mode_coeffs[start:], ensemble, rtol=0,
-                                   atol=1e-14 * np.max(np.abs(ensemble)))
-
     def test_failures_name_the_absolute_step(self, cubic):
         problem, control, base = cubic
         spike = self.SPIKES[0]
@@ -256,7 +250,7 @@ class TestSpikeWindow:
             first_variation_ensemble(problem.domain, problem.drift, broken, spike)
         assert err.value.step == start + 4
         broken.modes[3, start, 0] = 1e7
-        spiked = spike_perturb(control, spike, problem.horizon)
+        spiked, _ = _spike_window(control, spike, problem.horizon)
         with pytest.raises(InstabilityError, match=f"step {start}") as err:
             _spiked_ensemble(problem, broken, spiked, start)
         assert err.value.step == start
