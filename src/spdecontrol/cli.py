@@ -26,14 +26,12 @@ from . import __version__
 from .adjoint import (MIN_PATHS_PER_FEATURE, RegressionSpec, adjoint_to_binary,
                       diagnostics_to_json, duality_residual, solve_adjoint_regression,
                       weighted_norm_report)
-from .control import (ControlProblem, Measure, catalog_problem,
+from .control import (CATALOG, CATALOG_OVERRIDES, ControlProblem, catalog_problem,
                       check_maximum_principle, constant_control_for, cost_of_ensemble,
-                      lq_optimal_control, optimize_control, quadratic_cost,
-                      sine_profile_coeffs)
+                      lq_optimal_control, optimize_control, problem_from_spec)
 from .errors import ConfigurationError, GridError, SpdeControlError
 from .forward import ControlProcess, trajectory_to_binary, trajectory_to_csv
 from .noise import NoiseModel, sample_convolution, series_condition_v, supnorm_moment_study, trace_summand
-from .nonlinearity import drift_from_config
 from .spectral import DomainKind, make_domain, regularity_threshold, semigroup_apply
 from .variation import cost_expansion_check, spike_order_study
 
@@ -61,7 +59,8 @@ _INLINE_PROBLEM_SCHEMA = {
             "additionalProperties": False,
             "required": ["dimension", "modes_per_axis"],
             "properties": {
-                "dimension": {"type": "integer"},
+                # the smoothing exponent d/4 must stay below 1
+                "dimension": {"type": "integer", "minimum": 1, "maximum": 3},
                 "kind": {"enum": [k.value for k in DomainKind]},
                 "modes_per_axis": {"type": "integer"},
             },
@@ -83,8 +82,7 @@ _INLINE_PROBLEM_SCHEMA = {
             "required": ["gamma", "alpha"],
             "properties": {
                 "gamma": {"type": "number"},
-                "alpha": {"type": "number"},
-                "seed": {"type": "integer"},
+                "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
             },
         },
         "cost": {
@@ -115,13 +113,11 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "required": ["problem"],
     "properties": {
-        "problem": {"oneOf": [{"enum": ["lq-1d", "cubic-1d", "dirac-2d"]},
-                              _INLINE_PROBLEM_SCHEMA]},
+        "problem": {"oneOf": [{"enum": list(CATALOG)}, _INLINE_PROBLEM_SCHEMA]},
         "overrides": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {k: {"type": "number"} for k in
-                           ("modes", "n_steps", "horizon", "gamma", "alpha")},
+            "properties": {k: {"type": "number"} for k in CATALOG_OVERRIDES},
         },
         "numerics": {
             "type": "object",
@@ -129,7 +125,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "seed": {"type": "integer", "minimum": 0},
                 "paths": {"type": "integer", "minimum": 2},
-                "r": {"type": "number", "exclusiveMinimum": 2},
                 "r_prime": {"type": "number", "exclusiveMinimum": 1, "exclusiveMaximum": 2},
                 "sobolev_s": {"type": "number"},
                 "clip": {"type": "number"},
@@ -172,50 +167,16 @@ def validate_config(config: dict) -> dict:
     if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigurationError(f"config invalid at {where}: {err.message}")
-    # actionable re-checks of cross-field consistency
-    if isinstance(config["problem"], dict):
-        noise = config["problem"]["noise"]
-        if not 0.0 < noise["alpha"] < 0.5:
-            raise ConfigurationError(
-                f"noise.alpha = {noise['alpha']} must lie strictly inside (0, 1/2)")
-        if config["problem"]["domain"]["dimension"] > 3:
-            raise ConfigurationError(
-                "domain.dimension must be at most 3 (the smoothing exponent d/4 must stay below 1)")
     return config
 
 
 def build_problem(config: dict, root_seed: int) -> ControlProblem:
     spec = config["problem"]
+    if isinstance(spec, dict):
+        return problem_from_spec(spec, root_seed)
     overrides = {k: (int(v) if k in ("modes", "n_steps") else float(v))
                  for k, v in config.get("overrides", {}).items()}
-    if isinstance(spec, str):
-        return catalog_problem(spec, seed=root_seed, **overrides)
-
-    domain = make_domain(spec["domain"]["dimension"],
-                         spec["domain"]["modes_per_axis"],
-                         spec["domain"].get("kind", DomainKind.HYPERCUBE))
-    drift = drift_from_config(spec["drift"])
-    noise = NoiseModel(domain, spec["noise"]["gamma"], spec["noise"]["alpha"], root_seed)
-    cost_cfg = dict(spec.get("cost", {}))
-    cost_cfg.pop("kind", None)
-    measure_cfg = cost_cfg.pop("measure", {"kind": "lebesgue"})
-    measure = Measure(kind=measure_cfg["kind"],
-                      points=measure_cfg.get("points"),
-                      weights=measure_cfg.get("weights"))
-    cost = quadratic_cost(measure, **cost_cfg)
-    amplitudes = {}
-    for key, amp in spec["x0"]["sine"].items():
-        parts = tuple(int(p) for p in key.split(","))
-        amplitudes[parts[0] if len(parts) == 1 else parts] = float(amp)
-    x0 = sine_profile_coeffs(domain, amplitudes)
-    dt = spec["horizon"] / spec["n_steps"]
-    if dt * drift.dissipativity_bound >= 1.0:
-        raise ConfigurationError(
-            f"dt*beta = {dt * drift.dissipativity_bound:.3g} >= 1: raise n_steps "
-            f"above {math.ceil(spec['horizon'] * drift.dissipativity_bound)} or weaken the drift")
-    return ControlProblem(domain=domain, drift=drift, noise=noise, cost=cost,
-                          horizon=float(spec["horizon"]), x0=x0,
-                          n_steps=int(spec["n_steps"]), name="inline")
+    return catalog_problem(spec, seed=root_seed, **overrides)
 
 
 # -- deterministic artifact writers ------------------------------------------

@@ -15,6 +15,7 @@ d_u H (the descent direction of the optimizer).
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,10 +25,11 @@ import numpy as np
 
 from .adjoint import AdjointSolution, RegressionSpec, solve_adjoint_regression
 from .errors import ConfigurationError, ShapeError
-from .forward import ControlProcess, EnsembleStates, constant_control, simulate_ensemble
+from .forward import (ControlProcess, EnsembleStates, _step_weights, constant_control,
+                      simulate_ensemble)
 from .noise import NoiseModel, ou_factors
-from .nonlinearity import (ControlSpace, NemytskiiDrift, cubic_drift, linear_drift)
-from .spectral import SpectralDomain, make_domain
+from .nonlinearity import ControlSpace, NemytskiiDrift, drift_from_config
+from .spectral import DomainKind, SpectralDomain, make_domain
 
 
 @dataclass(frozen=True)
@@ -142,11 +144,11 @@ class ControlProblem:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (self.domain.n_modes,):
             raise ShapeError(f"x0 must have {self.domain.n_modes} coefficients")
-        dt = self.horizon / self.n_steps
-        if dt * self.drift.dissipativity_bound >= 1.0:
+        beta = self.drift.dissipativity_bound
+        if self.dt * beta >= 1.0:
             raise ConfigurationError(
-                f"dt*beta = {dt * self.drift.dissipativity_bound:.3g} must stay below 1; "
-                "raise n_steps or weaken the drift")
+                f"dt*beta = {self.dt * beta:.3g} must stay below 1; raise n_steps "
+                f"above {math.ceil(self.horizon * beta)} or weaken the drift")
 
     @property
     def dt(self) -> float:
@@ -176,60 +178,83 @@ def sine_profile_coeffs(domain: SpectralDomain, amplitudes: dict) -> np.ndarray:
     return x0
 
 
-def catalog_problem(name: str, *, seed: int = 20250801, **overrides) -> ControlProblem:
-    """Named study instances, from fully solvable to merely well-posed.
+# the named study instances, from fully solvable to merely well-posed, each in
+# the form of a config's inline "problem" object:
+# lq-1d    linear drift + quadratic Lebesgue cost, every oracle closed form
+# cubic-1d dissipative cubic drift + quadratic cost
+# dirac-2d cubic drift in d=2, running cost sampled at three interior points
+CATALOG = {
+    "lq-1d": {
+        "domain": {"dimension": 1, "modes_per_axis": 16},
+        "drift": {"kind": "linear"},
+        "noise": {"gamma": 0.5, "alpha": 0.25},
+        "cost": {"kind": "quadratic", "control_weight": 0.5 / math.pi},
+        "horizon": 1.0, "n_steps": 128,
+        "x0": {"sine": {"1": 0.5, "3": 0.2}},
+    },
+    "cubic-1d": {
+        "domain": {"dimension": 1, "modes_per_axis": 64},
+        "drift": {"kind": "cubic", "a": 1.0, "b": 1.0},
+        "noise": {"gamma": 0.5, "alpha": 0.25},
+        "cost": {"kind": "quadratic", "control_weight": 0.5 / math.pi},
+        "horizon": 1.0, "n_steps": 256,
+        "x0": {"sine": {"1": 0.5, "2": 0.2}},
+    },
+    "dirac-2d": {
+        "domain": {"dimension": 2, "modes_per_axis": 8},
+        "drift": {"kind": "cubic", "a": 1.0, "b": 1.0},
+        "noise": {"gamma": 0.6, "alpha": 0.25},
+        "cost": {"kind": "quadratic", "control_weight": 0.5, "terminal_weight": 0.5,
+                 "measure": {"kind": "dirac_combination",
+                             "points": [[0.3 * math.pi, 0.4 * math.pi],
+                                        [0.6 * math.pi, 0.7 * math.pi],
+                                        [0.5 * math.pi, 0.25 * math.pi]],
+                             "weights": [0.5, 0.3, 0.2]}},
+        "horizon": 0.5, "n_steps": 64,
+        "x0": {"sine": {"1,1": 0.5, "2,1": 0.2}},
+    },
+}
 
-    lq-1d    linear drift + quadratic Lebesgue cost, every oracle closed form
-    cubic-1d dissipative cubic drift + quadratic cost
-    dirac-2d cubic drift in d=2, running cost sampled at three interior points
-    """
-    if name == "lq-1d":
-        defaults = dict(modes=16, n_steps=128, horizon=1.0, gamma=0.5, alpha=0.25)
-        defaults.update(overrides)
-        domain = make_domain(1, defaults["modes"])
-        return ControlProblem(
-            domain=domain,
-            drift=linear_drift(),
-            noise=NoiseModel(domain, defaults["gamma"], defaults["alpha"], seed),
-            cost=quadratic_cost(Measure(kind="lebesgue"), control_weight=0.5 / math.pi),
-            horizon=defaults["horizon"],
-            x0=sine_profile_coeffs(domain, {1: 0.5, 3: 0.2}),
-            n_steps=defaults["n_steps"],
-            name="lq-1d",
-        )
-    if name == "cubic-1d":
-        defaults = dict(modes=64, n_steps=256, horizon=1.0, gamma=0.5, alpha=0.25)
-        defaults.update(overrides)
-        domain = make_domain(1, defaults["modes"])
-        return ControlProblem(
-            domain=domain,
-            drift=cubic_drift(a=1.0, b=1.0),
-            noise=NoiseModel(domain, defaults["gamma"], defaults["alpha"], seed),
-            cost=quadratic_cost(Measure(kind="lebesgue"), control_weight=0.5 / math.pi),
-            horizon=defaults["horizon"],
-            x0=sine_profile_coeffs(domain, {1: 0.5, 2: 0.2}),
-            n_steps=defaults["n_steps"],
-            name="cubic-1d",
-        )
-    if name == "dirac-2d":
-        defaults = dict(modes=8, n_steps=64, horizon=0.5, gamma=0.6, alpha=0.25)
-        defaults.update(overrides)
-        domain = make_domain(2, defaults["modes"])
-        measure = Measure(kind="dirac_combination",
-                          points=np.array([[0.3, 0.4], [0.6, 0.7], [0.5, 0.25]]) * math.pi,
-                          weights=np.array([0.5, 0.3, 0.2]))
-        return ControlProblem(
-            domain=domain,
-            drift=cubic_drift(a=1.0, b=1.0),
-            noise=NoiseModel(domain, defaults["gamma"], defaults["alpha"], seed),
-            cost=quadratic_cost(measure, control_weight=0.5, terminal_weight=0.5),
-            horizon=defaults["horizon"],
-            x0=sine_profile_coeffs(domain, {(1, 1): 0.5, (2, 1): 0.2}),
-            n_steps=defaults["n_steps"],
-            name="dirac-2d",
-        )
-    raise ConfigurationError(f"unknown catalog problem {name!r}; "
-                             "known: lq-1d, cubic-1d, dirac-2d")
+# catalog override -> (section of the spec or None for the top level, key it replaces)
+CATALOG_OVERRIDES = {"modes": ("domain", "modes_per_axis"), "n_steps": (None, "n_steps"),
+                     "horizon": (None, "horizon"), "gamma": ("noise", "gamma"),
+                     "alpha": ("noise", "alpha")}
+
+
+def problem_from_spec(spec: dict, seed: int, name: str = "inline") -> ControlProblem:
+    """The problem a config's inline "problem" object describes, its noise seeded by ``seed``."""
+    domain = make_domain(spec["domain"]["dimension"],
+                         spec["domain"]["modes_per_axis"],
+                         spec["domain"].get("kind", DomainKind.HYPERCUBE))
+    cost_cfg = dict(spec.get("cost", {}))
+    cost_cfg.pop("kind", None)
+    measure = Measure(**cost_cfg.pop("measure", {"kind": "lebesgue"}))
+    amplitudes = {}
+    for key, amp in spec["x0"]["sine"].items():
+        parts = tuple(int(p) for p in key.split(","))
+        amplitudes[parts[0] if len(parts) == 1 else parts] = float(amp)
+    return ControlProblem(domain=domain, drift=drift_from_config(spec["drift"]),
+                          noise=NoiseModel(domain, spec["noise"]["gamma"],
+                                           spec["noise"]["alpha"], seed),
+                          cost=quadratic_cost(measure, **cost_cfg),
+                          horizon=float(spec["horizon"]),
+                          x0=sine_profile_coeffs(domain, amplitudes),
+                          n_steps=int(spec["n_steps"]), name=name)
+
+
+def catalog_problem(name: str, *, seed: int = 20250801, **overrides) -> ControlProblem:
+    """The ``CATALOG`` problem ``name``, with the ``CATALOG_OVERRIDES`` given replaced as is."""
+    if name not in CATALOG:
+        raise ConfigurationError(f"unknown catalog problem {name!r}; known: {', '.join(CATALOG)}")
+    unknown = sorted(set(overrides) - set(CATALOG_OVERRIDES))
+    if unknown:
+        raise ConfigurationError(f"unknown catalog overrides {unknown}; "
+                                 f"known: {', '.join(CATALOG_OVERRIDES)}")
+    spec = copy.deepcopy(CATALOG[name])
+    for key, value in overrides.items():
+        section, leaf = CATALOG_OVERRIDES[key]
+        (spec[section] if section else spec)[leaf] = value
+    return problem_from_spec(spec, seed, name)
 
 
 # -- cost evaluation ------------------------------------------------------------
@@ -394,10 +419,7 @@ def _lq_discrete_system(problem: ControlProblem):
     """Exact one-step mean dynamics of the discretized lq-1d instance."""
     if problem.drift.name != "linear":
         raise ConfigurationError("discrete LQ oracle applies to the linear drift only")
-    mu = problem.domain.eigenvalues
-    dt = problem.dt
-    decay = np.exp(-mu * dt)
-    wdrift = -np.expm1(-mu * dt) / mu
+    decay, wdrift = _step_weights(problem.domain, problem.dt)
     d = decay - wdrift                       # multiplies the state (drift -sigma)
     h = wdrift * problem.domain.ones_coeffs()  # multiplies the scalar control
     return d, h

@@ -128,7 +128,6 @@ class EnsembleStates:
     modes: np.ndarray      # (n_paths, n_steps + 1, N)
     normals: np.ndarray    # (n_paths, n_steps, N)
     control: ControlProcess
-    root_seed: int
 
     @property
     def n_paths(self) -> int:
@@ -169,7 +168,7 @@ def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: Nois
     incr = convolution_increments(domain, noise, normals, dt)
     modes = _exp_euler(domain, drift, control.values, x0, incr, dt)
     return EnsembleStates(domain=domain, times=np.linspace(0.0, horizon, n_steps + 1),
-                          modes=modes, normals=normals, control=control, root_seed=root_seed)
+                          modes=modes, normals=normals, control=control)
 
 
 # -- linearized equation with forcings ----------------------------------------

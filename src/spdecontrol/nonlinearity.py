@@ -24,7 +24,6 @@ class NemytskiiDrift:
     growth_degree: int              # |f| + |f'| <= C (1 + |sigma|^k)
     growth_const: float
     dissipativity_bound: float      # beta with f' <= beta everywhere
-    quasi_dissipativity_shift: float
     f_u: Optional[Callable] = None  # d f / d u, when available
     name: str = "custom"
 
@@ -80,7 +79,6 @@ def cubic_drift(a: float = 1.0, b: float = 1.0, u_bound: float = 1.0) -> Nemytsk
         growth_degree=3,
         growth_const=growth_const,
         dissipativity_bound=a,
-        quasi_dissipativity_shift=max(a, 0.0) + 1.0,
         f_u=lambda s, u: b * np.ones_like(np.asarray(s, dtype=float)),
         name="cubic",
     )
@@ -94,7 +92,6 @@ def linear_drift(u_bound: float = 1.0) -> NemytskiiDrift:
         growth_degree=1,
         growth_const=2.0 + u_bound,
         dissipativity_bound=-1.0,
-        quasi_dissipativity_shift=1.0,
         f_u=lambda s, u: np.ones_like(np.asarray(s, dtype=float)),
         name="linear",
     )
@@ -108,7 +105,6 @@ def bistable_drift(u_bound: float = 1.0) -> NemytskiiDrift:
         growth_degree=3,
         growth_const=6.0 + u_bound,
         dissipativity_bound=1.0,
-        quasi_dissipativity_shift=2.0,
         f_u=lambda s, u: np.ones_like(np.asarray(s, dtype=float)),
         name="bistable",
     )

@@ -89,7 +89,7 @@ def _spiked_ensemble(problem: ControlProblem, base: EnsembleStates,
     modes = np.concatenate([base.modes[:, :start],
                             _spiked_tail(problem, base, spiked, start)], axis=1)
     return EnsembleStates(domain=problem.domain, times=base.times, modes=modes,
-                          normals=base.normals, control=spiked, root_seed=base.root_seed)
+                          normals=base.normals, control=spiked)
 
 
 def first_variation_ensemble(domain: SpectralDomain, drift, base: EnsembleStates,

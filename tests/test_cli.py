@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import spdecontrol.adjoint
 import spdecontrol.cli
 import spdecontrol.forward
 from spdecontrol.cli import build_problem, main, run, validate_config, write_json
-from spdecontrol.control import catalog_problem
+from spdecontrol.control import CATALOG, catalog_problem
 from spdecontrol.errors import ConfigurationError
 
 
@@ -42,6 +43,20 @@ def no_simulation(*args, **kwargs):
     raise AssertionError("simulated before the configuration was checked")
 
 
+def no_build(*args, **kwargs):
+    raise AssertionError("built a problem before the configuration was checked")
+
+
+# configs the schema refuses: two keys that did nothing, and alpha and d out of range
+REFUSED_CHANGES = {
+    "noise-seed": lambda cfg: cfg["problem"]["noise"].update(seed=3),
+    "numerics-r": lambda cfg: cfg["numerics"].update(r=3.0),
+    "alpha-half": lambda cfg: cfg["problem"]["noise"].update(alpha=0.5),
+    "dimension-0": lambda cfg: cfg["problem"]["domain"].update(dimension=0),
+    "dimension-4": lambda cfg: cfg["problem"]["domain"].update(dimension=4),
+}
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -54,8 +69,18 @@ class TestConfigValidation:
     def test_alpha_range_recheck(self):
         cfg = json.loads(json.dumps(BALL_NOISE_CONFIG))
         cfg["problem"]["noise"]["alpha"] = 0.7
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="config invalid at problem/noise/alpha: "
+                           "0.7 is greater than or equal to the maximum of 0.5"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("change", REFUSED_CHANGES.values(), ids=REFUSED_CHANGES)
+    def test_refused_before_any_build(self, tmp_path, monkeypatch, capsys, change):
+        monkeypatch.setattr(spdecontrol.cli, "build_problem", no_build)
+        cfg = json.loads(json.dumps(BALL_NOISE_CONFIG))
+        change(cfg)
+        assert run("noise-check", str(write_config(tmp_path, cfg)), str(tmp_path / "out")) == 2
+        assert "error: config invalid at " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_dt_beta_guard_actionable(self):
         cfg = json.loads(json.dumps(BALL_NOISE_CONFIG))
@@ -69,6 +94,17 @@ class TestConfigValidation:
     def test_catalog_and_inline_both_validate(self):
         validate_config({"problem": "cubic-1d"})
         validate_config(BALL_NOISE_CONFIG)
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_catalog_entry_is_an_inline_problem(self, name):
+        inline = build_problem(validate_config({"problem": CATALOG[name]}), 11)
+        named = build_problem(validate_config({"problem": name}), 11)
+        assert (inline.name, named.name) == ("inline", name)
+        assert (inline.horizon, inline.n_steps) == (named.horizon, named.n_steps)
+        for part in ("domain.eigenvalues", "x0", "noise.b_coeffs", "drift.dissipativity_bound",
+                     "cost.measure.points", "cost.measure.weights"):
+            np.testing.assert_array_equal(attrgetter(part)(inline), attrgetter(part)(named))
+        assert inline.cost.measure.kind == named.cost.measure.kind
 
     def test_schema_checked_once_per_validator(self, monkeypatch):
         original, checks = jsonschema.Draft202012Validator.check_schema, []

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -7,15 +8,15 @@ import pytest
 
 import spdecontrol.control as ctl
 from spdecontrol.adjoint import solve_adjoint_regression
-from spdecontrol.control import (ControlProblem, CostSpec, Measure, catalog_problem,
+from spdecontrol.control import (CATALOG, ControlProblem, CostSpec, Measure, catalog_problem,
                                  check_maximum_principle, constant_control_for,
                                  cost_of_ensemble, hamiltonian,
                                  lq_exact_cost, lq_optimal_control, optimize_control,
-                                 quadratic_cost, sine_profile_coeffs)
+                                 sine_profile_coeffs)
 from spdecontrol.errors import ConfigurationError, ShapeError
-from spdecontrol.forward import ControlProcess, constant_control
+from spdecontrol.forward import ControlProcess
 from spdecontrol.noise import NoiseModel
-from spdecontrol.nonlinearity import ControlSpace, NemytskiiDrift, linear_drift
+from spdecontrol.nonlinearity import ControlSpace, NemytskiiDrift
 from spdecontrol.spectral import DENSE_TRANSFORM_MAX_MODES, make_domain
 
 
@@ -130,8 +131,7 @@ class TestHamiltonian:
         drift = NemytskiiDrift(
             f=lambda s, u: u * np.ones_like(np.asarray(s, dtype=float)),
             f_prime=lambda s, u: np.zeros_like(np.asarray(s, dtype=float)),
-            growth_degree=0, growth_const=2.0, dissipativity_bound=0.0,
-            quasi_dissipativity_shift=1.0, name="forcing")
+            growth_degree=0, growth_const=2.0, dissipativity_bound=0.0, name="forcing")
         problem = ControlProblem(domain=dom, drift=drift,
                                  noise=NoiseModel(dom, 0.5, 0.25, 1),
                                  cost=zero_cost(), horizon=1.0,
@@ -370,9 +370,31 @@ class TestCatalogAndHelpers:
         with pytest.raises(ConfigurationError):
             catalog_problem("mystery")
 
+    def test_unknown_override(self):
+        with pytest.raises(ConfigurationError, match=r"unknown catalog overrides \['mode'\]"):
+            catalog_problem("lq-1d", mode=8)
+
+    def test_overrides_replace_a_copy_of_the_spec(self):
+        spec = json.dumps(CATALOG["dirac-2d"])
+        problem = catalog_problem("dirac-2d", seed=3, modes=4, n_steps=16, horizon=0.25,
+                                  gamma=0.3, alpha=0.2)
+        assert problem.domain.n_modes_per_axis == 4 and problem.x0.shape == (16,)
+        assert (problem.n_steps, problem.horizon) == (16, 0.25)
+        assert (problem.noise.gamma, problem.noise.alpha, problem.noise.seed) == (0.3, 0.2, 3)
+        assert json.dumps(CATALOG["dirac-2d"]) == spec
+
     def test_dt_beta_guard(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="raise n_steps above 2"):
             catalog_problem("cubic-1d", n_steps=1, horizon=2.0)
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_cost_growth_spot_checks(self, name):
+        cost = catalog_problem(name, modes=4).cost
+        sigmas = np.linspace(-3.0, 3.0, 41)
+        bound = cost.growth_const * (1.0 + np.abs(sigmas) ** cost.growth_degree)
+        for u in (-1.0, 0.0, 1.0):
+            assert np.all(np.abs(cost.running_dsigma(0.5, sigmas, u)) <= bound)
+        assert np.all(np.abs(cost.terminal_dsigma(sigmas)) <= bound)
 
     def test_dirac_points_interior(self):
         with pytest.raises(ConfigurationError):

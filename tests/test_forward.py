@@ -19,7 +19,7 @@ ZERO_DRIFT = NemytskiiDrift(
     f=lambda s, u: np.zeros_like(np.asarray(s, dtype=float)),
     f_prime=lambda s, u: np.zeros_like(np.asarray(s, dtype=float)),
     growth_degree=0, growth_const=1.0,
-    dissipativity_bound=0.0, quasi_dissipativity_shift=1.0, name="zero")
+    dissipativity_bound=0.0, name="zero")
 
 
 def unit_mode(domain, k=0):
@@ -81,8 +81,7 @@ class TestSimulateState:
     def test_blowup_guard_names_step(self, monkeypatch, n_paths):
         growth = NemytskiiDrift(
             f=lambda s, u: 3.0 * s, f_prime=lambda s, u: 3.0 * np.ones_like(np.asarray(s)),
-            growth_degree=1, growth_const=4.0, dissipativity_bound=3.0,
-            quasi_dissipativity_shift=4.0, name="amplifier")
+            growth_degree=1, growth_const=4.0, dissipativity_bound=3.0, name="amplifier")
         dom = make_domain(1, 8)
         noise = NoiseModel(dom, 0.5, 0.25, 1)
         monkeypatch.setattr(spdecontrol.forward, "BLOWUP_BOUND", 2.0)

@@ -1,5 +1,5 @@
-"""Package imports: every imported name is used, every exported name has a
-caller, and start-up loads no more than it needs."""
+"""Imports: every name a package module, test or demo imports is used, every
+exported name has a caller, and start-up loads no more than it needs."""
 
 import ast
 import os
@@ -35,7 +35,11 @@ def test_scanner_flags_unused_names():
         ["os (line 1)", "tau (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
