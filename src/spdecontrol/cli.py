@@ -62,7 +62,7 @@ _INLINE_PROBLEM_SCHEMA = {
                 # the smoothing exponent d/4 must stay below 1
                 "dimension": {"type": "integer", "minimum": 1, "maximum": 3},
                 "kind": {"enum": [k.value for k in DomainKind]},
-                "modes_per_axis": {"type": "integer"},
+                "modes_per_axis": {"type": "integer", "minimum": 1},
             },
         },
         "drift": {
@@ -108,16 +108,26 @@ _INLINE_PROBLEM_SCHEMA = {
     },
 }
 
+
+def _inline_fragment(section, leaf) -> dict:
+    """The inline-problem schema of the value a catalog override replaces."""
+    properties = _INLINE_PROBLEM_SCHEMA["properties"]
+    return (properties[section]["properties"] if section else properties)[leaf]
+
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["problem"],
+    # overrides replace values of a catalog problem; an inline problem states its own
+    "dependentSchemas": {"overrides": {"properties": {"problem": {
+        "enum": list(CATALOG), "description": "overrides apply to catalog problems only"}}}},
     "properties": {
         "problem": {"oneOf": [{"enum": list(CATALOG)}, _INLINE_PROBLEM_SCHEMA]},
         "overrides": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {k: {"type": "number"} for k in CATALOG_OVERRIDES},
+            "properties": {k: _inline_fragment(*where) for k, where in CATALOG_OVERRIDES.items()},
         },
         "numerics": {
             "type": "object",
@@ -166,7 +176,8 @@ def validate_config(config: dict) -> dict:
     err = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
     if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigurationError(f"config invalid at {where}: {err.message}")
+        hint = f" ({err.schema['description']})" if "description" in err.schema else ""
+        raise ConfigurationError(f"config invalid at {where}: {err.message}{hint}")
     return config
 
 

@@ -8,15 +8,18 @@ forcings are integrated without quadrature error, and the noise increment
 reuses the exact Ornstein-Uhlenbeck transition of the stochastic
 convolution.
 
-One core, ``_exp_euler``, holds the nonlinear step and its blow-up guard
-for a batch of paths: ``simulate_ensemble`` drives it with per-path
-normals (fresh, or those of an earlier ensemble to rerun its noise under
-another control), and the spike reruns of ``variation`` from the base
-states at the spike start with the base normals from there on.
-``linearized_modes`` solves the linearized equation with a forcing gamma
-and a diagonal noise coefficient eta along a batch of base paths, reusing
-their normals, which is what the spike-variation and duality machinery
-need.
+One stepper, ``_exp_euler_nodes``, holds the nonlinear step and its
+blow-up guard for a batch of paths and yields the state node by node;
+each step scales that step's standard normals by the noise coefficients,
+so no increments array is ever built.  ``_exp_euler`` collects the nodes
+into an ensemble array for ``simulate_ensemble``, which drives it with
+per-path normals (fresh, or those of an earlier ensemble to rerun its
+noise under another control); the spike studies of ``variation`` consume
+the nodes of their reruns one at a time, from the base states at the
+spike start with the base normals from there on.  ``linearized_modes``
+solves the linearized equation with a forcing gamma and a diagonal noise
+coefficient eta along a batch of base paths, reusing their normals, which
+is what the spike-variation and duality machinery need.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, InstabilityError, ShapeError
-from .noise import NoiseModel, convolution_increments, ou_factors, wiener_normals
+from .noise import NoiseModel, increment_scale, ou_factors, wiener_normals
 from .nonlinearity import ControlSpace, NemytskiiDrift
 from .rng import seed_sequence
 from .spectral import SpectralDomain
@@ -87,22 +90,21 @@ def _check_stability(drift: NemytskiiDrift, dt: float):
             f"beta={drift.dissipativity_bound}")
 
 
-def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np.ndarray,
-               x0: np.ndarray, increments: np.ndarray, dt: float,
-               first_step: int = 0) -> np.ndarray:
-    """Exponential-Euler paths driven by per-step increments of shape (P, n_steps, N).
+def _exp_euler_nodes(domain: SpectralDomain, drift: NemytskiiDrift,
+                     control_values: np.ndarray, x0: np.ndarray, normals: np.ndarray,
+                     noise_scale: np.ndarray, dt: float, first_step: int = 0):
+    """Exponential-Euler states of a batch of paths, yielded one grid node at a time.
 
-    Returns modes of shape (P, n_steps + 1, N).  The sup-norm over all
-    paths is checked at every grid node, the last one included; a
-    non-finite value or one above ``BLOWUP_BOUND`` raises
-    ``InstabilityError`` naming the node, counted from ``first_step`` when
-    the paths start later than t = 0.
+    ``normals`` has shape (P, n_steps, N) and step n adds ``normals[:, n] *
+    noise_scale``, so no increments array is built.  Each yielded (P, N)
+    state has passed the blow-up guard: a non-finite sup-norm over the
+    paths, or one above ``BLOWUP_BOUND``, raises ``InstabilityError``
+    naming the node, counted from ``first_step`` when the paths start later
+    than t = 0.  The last node is checked too.
     """
-    n_paths, n_steps, n_modes = increments.shape
+    n_paths, n_steps, n_modes = normals.shape
     decay, wdrift = _step_weights(domain, dt)
-    modes = np.empty((n_paths, n_steps + 1, n_modes))
     state = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, n_modes)).copy()
-    modes[:, 0] = state
     for n in range(n_steps + 1):
         field = domain.to_field(state)
         peak = np.max(np.abs(field))
@@ -111,11 +113,22 @@ def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np
             raise InstabilityError(
                 f"state sup-norm {peak:.3e} exceeded {BLOWUP_BOUND:.1e} at step {step}",
                 step=step)
+        yield state
         if n == n_steps:
-            break
+            return
         reaction = domain.to_coeffs(drift.f(field, control_values[n]))
-        state = decay * state + wdrift * reaction + increments[:, n]
-        modes[:, n + 1] = state
+        state = decay * state + wdrift * reaction + normals[:, n] * noise_scale
+
+
+def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np.ndarray,
+               x0: np.ndarray, normals: np.ndarray, noise_scale: np.ndarray,
+               dt: float) -> np.ndarray:
+    """The nodes of ``_exp_euler_nodes`` collected into modes of shape (P, n_steps + 1, N)."""
+    n_paths, n_steps, n_modes = normals.shape
+    modes = np.empty((n_paths, n_steps + 1, n_modes))
+    for n, state in enumerate(_exp_euler_nodes(domain, drift, control_values, x0, normals,
+                                               noise_scale, dt)):
+        modes[:, n] = state
     return modes
 
 
@@ -159,14 +172,15 @@ def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: Nois
         raise ShapeError(f"x0 must have shape ({domain.n_modes},), got {np.shape(x0)}")
     dt = horizon / n_steps
     if normals is None:
-        normals = np.stack([
-            wiener_normals(seed_sequence(root_seed, "wiener", i), n_steps, domain.n_modes)
-            for i in range(n_paths)])
+        normals = np.empty((n_paths, n_steps, domain.n_modes))
+        for i in range(n_paths):
+            normals[i] = wiener_normals(seed_sequence(root_seed, "wiener", i), n_steps,
+                                        domain.n_modes)
     elif normals.shape != (n_paths, n_steps, domain.n_modes):
         raise ShapeError(f"normals must have shape {(n_paths, n_steps, domain.n_modes)}, "
                          f"got {normals.shape}")
-    incr = convolution_increments(domain, noise, normals, dt)
-    modes = _exp_euler(domain, drift, control.values, x0, incr, dt)
+    modes = _exp_euler(domain, drift, control.values, x0, normals,
+                       increment_scale(domain, noise, dt), dt)
     return EnsembleStates(domain=domain, times=np.linspace(0.0, horizon, n_steps + 1),
                           modes=modes, normals=normals, control=control)
 

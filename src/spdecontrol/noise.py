@@ -64,11 +64,17 @@ def wiener_normals(rng_or_seed, n_steps: int, n_modes: int) -> np.ndarray:
     return rng.standard_normal((n_steps, n_modes))
 
 
+def increment_scale(domain: SpectralDomain, noise: NoiseModel, dt: float) -> np.ndarray:
+    """Per-mode factor b_k * sd_k that turns one step's standard normals into
+    exact-in-law stochastic-convolution increments."""
+    _, sd = ou_factors(domain.eigenvalues, dt)
+    return noise.b_coeffs * sd
+
+
 def convolution_increments(domain: SpectralDomain, noise: NoiseModel,
                            normals: np.ndarray, dt: float) -> np.ndarray:
     """Exact-in-law per-step stochastic-convolution increments b_k * sd_k * xi."""
-    _, sd = ou_factors(domain.eigenvalues, dt)
-    return normals * (noise.b_coeffs * sd)
+    return normals * increment_scale(domain, noise, dt)
 
 
 def ou_paths(mu: np.ndarray, dt: float, increments: np.ndarray) -> np.ndarray:

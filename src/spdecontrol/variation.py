@@ -6,10 +6,12 @@ stepper driven by the base ensemble's normals), so the pathwise
 differences isolate the control effect.  Before t0 the spiked rerun equals
 the base bit for bit and the first variation is exactly zero, so both are
 stepped from the spike start only, on the base's noise, and the ensemble
-first variation holds only those rows.  The order study uses the rerun's
-rows from the spike on too; the cost expansion copies the base prefix into
-the rerun, whose full cost it needs.  The studies here fit the growth orders
-in eps of
+first variation holds only those rows.  The order study reduces as it
+steps: it solves Y's window, then consumes the rerun node by node in
+lockstep with it and keeps only a per-path running maximum of each
+node's sup-norm of xi, Y and eta, so no rerun, xi or eta array is built.
+The cost expansion copies the base prefix into the rerun, whose full cost
+it needs.  The studies here fit the growth orders in eps of
 
     xi  = X_spiked - X          (first-order response, O(eps)),
     Y   = solution of the linearized equation forced by the drift mismatch,
@@ -27,9 +29,9 @@ import numpy as np
 
 from .control import ControlProblem, cost_of_ensemble, trapezoid_weights
 from .errors import ConfigurationError, GridError, InstabilityError
-from .forward import (ControlProcess, EnsembleStates, _exp_euler, linearized_modes,
+from .forward import (ControlProcess, EnsembleStates, _exp_euler_nodes, linearized_modes,
                       simulate_ensemble)
-from .noise import convolution_increments
+from .noise import increment_scale
 from .spectral import SpectralDomain
 
 
@@ -71,23 +73,26 @@ def _spike_window(control: ControlProcess, spike: SpikeConfig,
 
 
 def _spiked_tail(problem: ControlProblem, base: EnsembleStates,
-                 spiked: ControlProcess, start: int) -> np.ndarray:
-    """Rows ``start:`` of the rerun of ``base`` under ``spiked`` on the same noise.
+                 spiked: ControlProcess, start: int):
+    """Nodes ``start:`` of the rerun of ``base`` under ``spiked`` on the same noise,
+    yielded one (P, N) state at a time.
 
     Before the spike the controls agree and the noise is shared, so the
-    rerun's rows ``:start`` equal the base rows bit for bit.
+    rerun's nodes before ``start`` equal the base nodes bit for bit.
     """
     domain, dt = problem.domain, problem.horizon / len(spiked)
-    increments = convolution_increments(domain, problem.noise, base.normals[:, start:], dt)
-    return _exp_euler(domain, problem.drift, spiked.values[start:], base.modes[:, start],
-                      increments, dt, first_step=start)
+    return _exp_euler_nodes(domain, problem.drift, spiked.values[start:], base.modes[:, start],
+                            base.normals[:, start:], increment_scale(domain, problem.noise, dt),
+                            dt, first_step=start)
 
 
 def _spiked_ensemble(problem: ControlProblem, base: EnsembleStates,
                      spiked: ControlProcess, start: int) -> EnsembleStates:
     """The full rerun: base rows ``:start`` followed by the stepped tail."""
-    modes = np.concatenate([base.modes[:, :start],
-                            _spiked_tail(problem, base, spiked, start)], axis=1)
+    modes = np.empty_like(base.modes)
+    modes[:, :start] = base.modes[:, :start]
+    for n, state in enumerate(_spiked_tail(problem, base, spiked, start), start):
+        modes[:, n] = state
     return EnsembleStates(domain=problem.domain, times=base.times, modes=modes,
                           normals=base.normals, control=spiked)
 
@@ -175,6 +180,26 @@ def _spike_study_setup(problem: ControlProblem, control: ControlProcess, w: floa
     return epsilons, spikes, base
 
 
+def _spike_sup_norms(problem: ControlProblem, base: EnsembleStates, spike: SpikeConfig,
+                     spiked: ControlProcess, start: int):
+    """Per-path sup-norms over time and space of xi, Y and eta for one spike.
+
+    All three are exactly zero before the spike.  Y's window is solved
+    first, so when both fail its ``InstabilityError`` is the one raised;
+    the rerun's tail is then stepped in lockstep with it, and each node
+    only updates a running maximum, which is exact.
+    """
+    domain = problem.domain
+    y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
+    sup_xi, sup_y, sup_eta = (np.zeros(base.n_paths) for _ in range(3))
+    for i, state in enumerate(_spiked_tail(problem, base, spiked, start)):
+        xi = state - base.modes[:, start + i]
+        np.maximum(sup_xi, domain.sup_norm(xi), out=sup_xi)
+        np.maximum(sup_y, domain.sup_norm(y_modes[:, i]), out=sup_y)
+        np.maximum(sup_eta, domain.sup_norm(xi - y_modes[:, i]), out=sup_eta)
+    return sup_xi, sup_y, sup_eta
+
+
 def spike_order_study(problem: ControlProblem, control: ControlProcess,
                       w: float, t0: float, epsilons, n_paths: int = 200,
                       seed=None) -> dict:
@@ -185,18 +210,12 @@ def spike_order_study(problem: ControlProblem, control: ControlProcess,
     """
     epsilons, spikes, base = _spike_study_setup(problem, control, w, t0, epsilons,
                                                 n_paths, seed)
-    domain = problem.domain
     rows = []
     sup2 = {}
     for spike, spiked_control, start in spikes:
-        tail = _spiked_tail(problem, base, spiked_control, start)
-        y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
-
-        # rows before the spike are exactly zero in all three
-        xi = tail - base.modes[:, start:]
-        eta = xi - y_modes
-        for label, arr in (("xi", xi), ("Y", y_modes), ("eta", eta)):
-            sup_t = np.max(domain.sup_norm(arr), axis=1) ** 2     # per path
+        sups = _spike_sup_norms(problem, base, spike, spiked_control, start)
+        for label, sup in zip(("xi", "Y", "eta"), sups):
+            sup_t = sup ** 2     # per path
             est = float(sup_t.mean())
             se = float(sup_t.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
             rows.append({"epsilon": spike.epsilon, "quantity": label, "estimate": est, "stderr": se})

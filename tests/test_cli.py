@@ -56,6 +56,17 @@ REFUSED_CHANGES = {
     "dimension-4": lambda cfg: cfg["problem"]["domain"].update(dimension=4),
 }
 
+# catalog configs the schema refuses: overrides next to an inline problem, which
+# were ignored, and override values outside the range of the inline value they replace
+REFUSED_OVERRIDES = {
+    "inline-problem": ({"problem": CATALOG["lq-1d"], "overrides": {"n_steps": 16}}, "problem"),
+    "alpha-0.7": ({"problem": "lq-1d", "overrides": {"alpha": 0.7}}, "overrides/alpha"),
+    "n_steps-32.7": ({"problem": "lq-1d", "overrides": {"n_steps": 32.7}}, "overrides/n_steps"),
+    "modes-8.9": ({"problem": "lq-1d", "overrides": {"modes": 8.9}}, "overrides/modes"),
+    "modes-0": ({"problem": "lq-1d", "overrides": {"modes": 0}}, "overrides/modes"),
+    "horizon-0": ({"problem": "lq-1d", "overrides": {"horizon": 0}}, "overrides/horizon"),
+}
+
 
 class TestConfigValidation:
     def test_unknown_key_rejected(self):
@@ -81,6 +92,23 @@ class TestConfigValidation:
         assert run("noise-check", str(write_config(tmp_path, cfg)), str(tmp_path / "out")) == 2
         assert "error: config invalid at " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, where", REFUSED_OVERRIDES.values(), ids=REFUSED_OVERRIDES)
+    def test_overrides_refused_before_any_build(self, tmp_path, monkeypatch, capsys, config,
+                                                where):
+        monkeypatch.setattr(spdecontrol.cli, "build_problem", no_build)
+        assert run("noise-check", str(write_config(tmp_path, config)), str(tmp_path / "out")) == 2
+        assert f"error: config invalid at {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_inline_problem_refusal_names_the_rule(self):
+        with pytest.raises(ConfigurationError, match=r"\(overrides apply to catalog problems only\)"):
+            validate_config({"problem": CATALOG["lq-1d"], "overrides": {}})
+
+    def test_integral_override_values_build_as_before(self):
+        config = validate_config({"problem": "lq-1d", "overrides": {"n_steps": 32.0, "modes": 8}})
+        problem = build_problem(config, 1)
+        assert (problem.n_steps, problem.domain.n_modes) == (32, 8)
 
     def test_dt_beta_guard_actionable(self):
         cfg = json.loads(json.dumps(BALL_NOISE_CONFIG))

@@ -5,11 +5,11 @@ import pytest
 
 import spdecontrol.forward
 from spdecontrol.errors import (ConfigurationError, InstabilityError, ShapeError)
-from spdecontrol.forward import (ControlProcess, _exp_euler, constant_control, linearized_modes,
-                                 read_binary_trajectory, simulate_ensemble,
+from spdecontrol.forward import (ControlProcess, _exp_euler, _exp_euler_nodes, constant_control,
+                                 linearized_modes, read_binary_trajectory, simulate_ensemble,
                                  trajectory_to_binary, trajectory_to_csv, weight_cell_integrals)
 from spdecontrol.noise import (NoiseModel, aggregate_increments, convolution_increments,
-                               sample_convolution, wiener_normals)
+                               increment_scale, sample_convolution, wiener_normals)
 from spdecontrol.nonlinearity import ControlSpace, NemytskiiDrift, cubic_drift, linear_drift
 from spdecontrol.spectral import make_domain
 
@@ -103,6 +103,30 @@ class TestSimulateState:
                               unit_mode(dom), 16, 1.0, n_paths, 0, normals=normals)
         assert err.value.step == 16
 
+    def test_collected_nodes_and_the_guard_of_a_later_start(self):
+        # _exp_euler is the stacked node stream; a tail started at node 5 names
+        # the absolute node it blows up at, after yielding the nodes before it
+        dom = make_domain(1, 8)
+        noise = NoiseModel(dom, 0.5, 0.25, 3)
+        dt, values = 1.0 / 16, np.full(16, 0.2)
+        normals = np.stack([wiener_normals((3, "wiener", i), 16, 8) for i in range(3)])
+        scale = increment_scale(dom, noise, dt)
+        x0 = 0.3 * unit_mode(dom)
+        modes = _exp_euler(dom, cubic_drift(), values, x0, normals, scale, dt)
+        nodes = list(_exp_euler_nodes(dom, cubic_drift(), values, x0, normals, scale, dt))
+        assert np.array_equal(modes, np.stack(nodes, axis=1))
+        incr = convolution_increments(dom, noise, normals, dt)
+        assert np.array_equal(modes, _exp_euler(dom, cubic_drift(), values, x0, incr, 1.0, dt))
+
+        normals[1, 8, 0] = 1e10       # the tail's step 3 fills node 9
+        tail = []
+        with pytest.raises(InstabilityError, match="at step 9") as err:
+            for state in _exp_euler_nodes(dom, cubic_drift(), values[5:], modes[:, 5],
+                                          normals[:, 5:], scale, dt, first_step=5):
+                tail.append(state)
+        assert err.value.step == 9
+        assert np.array_equal(np.stack(tail, axis=1), modes[:, 5:9])
+
     def test_dissipative_sup_norm_damping(self):
         drift = cubic_drift(a=0.0, b=0.0)    # f = -sigma^3
         dom = make_domain(1, 64)
@@ -128,7 +152,8 @@ class TestSimulateState:
             ratio = n_fine // n_steps
             incr = incr_fine if ratio == 1 else aggregate_increments(
                 incr_fine, dom.eigenvalues, dt_fine, ratio)
-            return _exp_euler(dom, drift, np.full(n_steps, 0.3), x0, incr[None], 1.0 / n_steps)[0]
+            return _exp_euler(dom, drift, np.full(n_steps, 0.3), x0, incr[None], 1.0,
+                              1.0 / n_steps)[0]
 
         sq_errs = {32: 0.0, 64: 0.0}
         for i in range(8):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,18 +259,18 @@ class TestSpikeWindow:
     def test_study_steps_only_after_the_spike(self, monkeypatch):
         # the base is stepped once over the horizon, every epsilon only from the spike on
         stepped = {"exp_euler": [], "linearized": []}
-        exp_euler, linearized = spdecontrol.forward._exp_euler, linearized_modes
+        exp_euler, linearized = spdecontrol.forward._exp_euler_nodes, linearized_modes
 
-        def counting_exp_euler(domain, drift, values, x0, increments, *args, **kwargs):
-            stepped["exp_euler"].append(increments.shape[1])
-            return exp_euler(domain, drift, values, x0, increments, *args, **kwargs)
+        def counting_exp_euler(domain, drift, values, x0, normals, *args, **kwargs):
+            stepped["exp_euler"].append(normals.shape[1])
+            return exp_euler(domain, drift, values, x0, normals, *args, **kwargs)
 
         def counting_linearized(domain, drift, base_modes, *args, **kwargs):
             stepped["linearized"].append(base_modes.shape[1] - 1)
             return linearized(domain, drift, base_modes, *args, **kwargs)
 
         for module in (spdecontrol.forward, spdecontrol.variation):
-            monkeypatch.setattr(module, "_exp_euler", counting_exp_euler)
+            monkeypatch.setattr(module, "_exp_euler_nodes", counting_exp_euler)
             monkeypatch.setattr(module, "linearized_modes", counting_linearized)
         problem = catalog_problem("cubic-1d", modes=16, n_steps=64, seed=42)
         control = constant_control_for(problem, 0.0)
@@ -298,6 +299,60 @@ class TestSpikeWindow:
         spike_order_study(problem, constant_control_for(problem, 0.0), w=0.8, t0=0.5,
                           epsilons=[1 / 8, 1 / 16, 1 / 32], n_paths=8, seed=42)
         assert shapes == [(8, 64 + 1 - 32, 16)] * 3
+
+
+class TestStudyReducesAsItSteps:
+    """The order study reduces each node as it steps, to the materialized result."""
+
+    # ascending, the order the study reports them in
+    EPSILONS = {"cubic-1d": [1 / 32, 1 / 16, 1 / 8], "dirac-2d": [1 / 64, 1 / 32, 1 / 16]}
+
+    def test_peak_memory_stays_below_one_and_a_half_windows(self):
+        problem = catalog_problem("cubic-1d", modes=16, n_steps=64, seed=43)
+        control = constant_control_for(problem, 0.0)
+        n_paths, n_modes, start = 64, 16, 32
+        # a first small study, untraced, pays the one-time imports and caches
+        spike_order_study(problem, control, w=0.8, t0=0.5, epsilons=self.EPSILONS["cubic-1d"],
+                          n_paths=2, seed=43)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spike_order_study(problem, control, w=0.8, t0=0.5, epsilons=self.EPSILONS["cubic-1d"],
+                              n_paths=n_paths, seed=43)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        normals_and_modes = n_paths * (64 + 65) * n_modes * 8
+        y_window = n_paths * (64 + 1 - start) * n_modes * 8
+        assert peak - normals_and_modes < 1.5 * y_window
+
+    @pytest.mark.parametrize("name", ["cubic-1d", "dirac-2d"])
+    def test_rows_and_slopes_equal_the_materialized_reference(self, name):
+        problem = catalog_problem(name, n_steps=32, seed=44)
+        control = constant_control_for(problem, 0.0)
+        t0, n_paths = problem.horizon / 2, 24
+        report = spike_order_study(problem, control, w=0.8, t0=t0,
+                                   epsilons=self.EPSILONS[name], n_paths=n_paths, seed=44)
+
+        base = problem.ensemble(control, n_paths, 44)
+        rows, estimates = [], {"xi": [], "Y": [], "eta": []}
+        for eps in self.EPSILONS[name]:
+            spike = SpikeConfig(t0, eps, 0.8)
+            spiked, start = _spike_window(control, spike, problem.horizon)
+            rerun = problem.ensemble(spiked, n_paths, 44, normals=base.normals)
+            xi = rerun.modes[:, start:] - base.modes[:, start:]
+            y = first_variation_ensemble(problem.domain, problem.drift, base, spike)
+            for label, arr in (("xi", xi), ("Y", y), ("eta", xi - y)):
+                sup2 = np.max(problem.domain.sup_norm(arr), axis=1) ** 2
+                est, se = float(sup2.mean()), float(sup2.std(ddof=1) / math.sqrt(n_paths))
+                rows.append({"epsilon": spike.epsilon, "quantity": label,
+                             "estimate": est, "stderr": se})
+                estimates[label].append((est, se))
+        slopes = {label: fit_loglog(report["epsilons"], [e for e, _ in pairs],
+                                    [se for _, se in pairs])
+                  for label, pairs in estimates.items()}
+        assert report["rows"] == rows
+        np.testing.assert_equal(report["slopes"], slopes)
 
 
 _SPIKE_MANIFESTS = """
