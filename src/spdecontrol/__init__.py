@@ -16,7 +16,8 @@ from .forward import (ControlProcess, StateTrajectory, EnsembleStates,
                       trajectory_to_csv, trajectory_to_binary, read_binary_trajectory)
 from .variation import SpikeConfig, spike_order_study, cost_expansion_check
 from .adjoint import (AdjointPair, AdjointSolution, RegressionSpec,
-                      solve_adjoint_regression, duality_residual, weighted_norm_report)
+                      solve_adjoint_regression, solve_adjoint_pathwise, duality_residual,
+                      weighted_norm_report)
 from .control import (Measure, CostSpec, ControlProblem, quadratic_cost,
                       catalog_problem, hamiltonian,
                       check_maximum_principle, optimize_control,

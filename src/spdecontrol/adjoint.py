@@ -1,16 +1,30 @@
-"""Backward equation for the adjoint pair (p, q) by least-squares Monte Carlo.
+"""Backward equation for the adjoint pair (p, q), with or without a step regression.
 
 The backward recursion is the exact algebraic transpose of the forward
-exponential-Euler step, with conditional expectations realized by
-regression on basis functions of the current state's mode coefficients
-(Longstaff-Schwartz style).  q is extracted from the martingale increment
-at the same step, q_n = E[p_{n+1} (x) dW_n | F_n] / dt, and is kept in
-reduced form.  Its fitted values are the projection U U^T q_target, with U
-the regression's orthonormal factor; since the basis holds an intercept,
-the ensemble mean of the fit is the plain mean of the targets, and the
-per-path V'-norm is U_i M U_i^T with the F x F matrix M = C diag(w) C^T,
-C = U^T (p_{n+1} (x) dW_n) / dt.  No (P, N N_K) target or fitted array is
-built.
+exponential-Euler step.  ``backward_sweep`` is its one loop; the conditional
+expectation of each step's target is the only part that varies, chosen by
+the sweep's spec:
+
+- ``RegressionSpec``: least-squares Monte Carlo (Longstaff-Schwartz style),
+  a regression on basis functions of the current state's mode coefficients.
+  Its fit is the adapted p.  q is extracted from the martingale increment at
+  the same step, q_n = E[p_{n+1} (x) dW_n | F_n] / dt, and is kept in reduced
+  form.  Its fitted values are the projection U U^T q_target, with U the
+  regression's orthonormal factor; since the basis holds an intercept, the
+  ensemble mean of the fit is the plain mean of the targets, and the per-path
+  V'-norm is U_i M U_i^T with the F x F matrix M = C diag(w) C^T,
+  C = U^T (p_{n+1} (x) dW_n) / dt.  No (P, N N_K) target or fitted array is
+  built.  ``adjoint-check`` uses this sweep: its duality residual, weighted
+  norms and ``adjoint0.bin`` need the adapted p (on the pathwise p below the
+  duality identity holds path by path, so it would test nothing).
+- ``PathwiseSpec``: no fit; each path keeps its own target, which gives the
+  pathwise recursion p~.  ``smp-check``, ``optimize`` and ``selftest``'s
+  maximum-principle check use it.  Controls here are deterministic, so the
+  Hamiltonian gap and the control gradient use the adjoint only through
+  E<p_t, G(X_t)> with G known at time t, and by the tower property that
+  expectation is the same for p~: the pathwise sweep is unbiased for them,
+  needs no basis, no path budget and no SVD, and its per-path values are
+  independent, so their spread is an honest standard error.  It has no q.
 
 Instead of the double smoothing used in the continuous theory (semigroup
 mollification of the data plus Lipschitz regularization of the drift), the
@@ -66,6 +80,28 @@ class RegressionSpec:
                 f"regression with {n_features} basis functions wants at least "
                 f"{MIN_PATHS_PER_FEATURE * n_features} paths, got {n_paths}")
 
+    def step(self, modes: np.ndarray) -> _StepRegressor:
+        """The conditional expectation of one step, fitted on the state modes (P, N)."""
+        return _StepRegressor(_default_features(modes, self))
+
+
+@dataclass(frozen=True)
+class PathwiseSpec:
+    """No conditioning: each step's target is kept per path (the pathwise p~).
+
+    ``clip`` bounds the drift derivative in the backward step, as in
+    ``RegressionSpec``.  No fit is taken, so there is no path budget and
+    no q.
+    """
+
+    clip: float = 1e3
+
+    def check_paths(self, n_modes: int, n_paths: int):
+        """A pathwise sweep runs on any number of paths."""
+
+    def step(self, modes: np.ndarray) -> _KeptTarget:
+        return _KeptTarget()
+
 
 @dataclass
 class AdjointPair:
@@ -100,6 +136,29 @@ class _StepRegressor:
         coef = self.vt.T @ ((self.u.T @ targets) / self.s[:, None])
         return self.phi @ coef
 
+    def residual_report(self, targets: np.ndarray, fitted: np.ndarray) -> dict:
+        """Largest z-score of a target column's mean residual (a martingale check)."""
+        resid = targets - fitted
+        resid_sd = resid.std(axis=0, ddof=1) if self.n_paths > 1 else np.ones(targets.shape[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.abs(resid.mean(axis=0)) / np.where(resid_sd > 0,
+                                                      resid_sd / np.sqrt(self.n_paths), np.inf)
+        return {"residual_z_max": float(np.max(z))}
+
+
+class _KeptTarget:
+    """The pathwise step: the target itself, with no fit and so no residual."""
+
+    cond = 1.0
+
+    @staticmethod
+    def fit_predict(targets: np.ndarray) -> np.ndarray:
+        return targets
+
+    @staticmethod
+    def residual_report(targets: np.ndarray, fitted: np.ndarray) -> dict:
+        return {}
+
 
 def _default_features(modes: np.ndarray, spec: RegressionSpec) -> np.ndarray:
     core = modes if spec.basis_modes is None else modes[:, :spec.basis_modes]
@@ -113,11 +172,12 @@ def _default_features(modes: np.ndarray, spec: RegressionSpec) -> np.ndarray:
 
 @dataclass
 class AdjointSolution:
-    """Regression solution over a forward ensemble.
+    """Backward-sweep solution over a forward ensemble.
 
-    ``p_values[i, n]`` is the fitted conditional expectation for path i at
-    grid node n.  q is kept in reduced form: its ensemble mean per step
-    (the mean of the regression targets p_{n+1} (x) dW_n / dt, which the
+    ``p_values[i, n]`` is p for path i at grid node n: the fitted
+    conditional expectation on a regression sweep, the pathwise p~ on a
+    pathwise one.  A regression sweep may keep q, in reduced form: its
+    ensemble mean per step (the mean of the regression targets p_{n+1} (x) dW_n / dt, which the
     intercept makes equal to the mean of the fit) and the per-path weighted
     norm integrals (U_i M U_i^T per step, from the F x F matrix M of the
     fit's coefficients), which is what the duality and norm diagnostics
@@ -147,19 +207,27 @@ class AdjointSolution:
 
 def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
                    terminal: Optional[np.ndarray],
-                   forcing_fn: Optional[Callable], spec: RegressionSpec = None, *,
+                   forcing_fn: Optional[Callable], spec: RegressionSpec | PathwiseSpec = None, *,
                    fprime_active: bool = True, compute_q: bool = True,
                    sobolev_s: Optional[float] = None) -> AdjointSolution:
-    """Backward regression pass given explicit terminal data and forcing.
+    """Backward pass given explicit terminal data and forcing.
 
     ``terminal`` is a (P, N) coefficient array (zero if None); ``forcing_fn``
     maps (step, state modes (P, N)) to the running-forcing coefficients.
-    The F_n-measurable forcing is added outside the regression; only the
-    genuinely future-measurable part is conditioned.  A non-finite p raises
-    ``InstabilityError`` naming the step that produced it first (step n
-    fills node n; checked once, after the loop).
+    ``spec`` (a ``RegressionSpec`` by default) sets how each step's target is
+    conditioned: a ``RegressionSpec`` fits it, a ``PathwiseSpec`` keeps it
+    per path and refuses ``compute_q=True``, since q needs the regression.
+    The F_n-measurable forcing is added outside the conditioning; only the
+    genuinely future-measurable part is conditioned.  Every diagnostics
+    entry holds the step's ``condition`` (1.0 when no fit is taken) and
+    ``clip_rate``.  A non-finite p raises ``InstabilityError`` naming the
+    step that produced it first (step n fills node n; checked once, after
+    the loop).
     """
     spec = spec or RegressionSpec()
+    if compute_q and isinstance(spec, PathwiseSpec):
+        raise ConfigurationError("q needs the step regression: a pathwise sweep "
+                                 "takes compute_q=False")
     modes = ensemble.modes
     n_paths, n_plus, n_modes = modes.shape
     n_steps = n_plus - 1
@@ -195,15 +263,10 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
             clip_rate = float(np.mean(clipped != mult))
             target = target + domain.to_coeffs(clipped * domain.to_field(wdrift * p_next))
 
-        reg = _StepRegressor(_default_features(modes[:, n], spec))
+        reg = spec.step(modes[:, n])
         p_fit = reg.fit_predict(target)
-        resid = target - p_fit
-        resid_sd = resid.std(axis=0, ddof=1) if n_paths > 1 else np.ones(n_modes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.abs(resid.mean(axis=0)) / np.where(resid_sd > 0,
-                                                      resid_sd / np.sqrt(n_paths), np.inf)
         diag = {"step": n, "condition": reg.cond, "clip_rate": clip_rate,
-                "residual_z_max": float(np.max(z))}
+                **reg.residual_report(target, p_fit)}
 
         if compute_q:
             # the fit of q_target = p_next (x) dw / dt is U C with C = U^T q_target, built
@@ -236,12 +299,27 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
 def solve_adjoint_regression(problem, ensemble: EnsembleStates,
                              spec: RegressionSpec = None, *, compute_q: bool = True,
                              sobolev_s: Optional[float] = None) -> AdjointSolution:
-    """Adjoint pair for ``problem`` along a forward ensemble.
+    """Adjoint pair for ``problem`` along a forward ensemble, by regression.
 
     Terminal datum and running forcing are the cost gradients
     zeta = D_x G(X_T)* and f(t) = D_x L(t, X_t, u_t)*, taken from the
     problem's cost specification.
     """
+    return _solve(problem, ensemble, spec, compute_q=compute_q, sobolev_s=sobolev_s)
+
+
+def solve_adjoint_pathwise(problem, ensemble: EnsembleStates,
+                           clip: float = 1e3) -> AdjointSolution:
+    """The pathwise p~ for ``problem`` along a forward ensemble, with no q.
+
+    Same data as ``solve_adjoint_regression``, with each step's target kept
+    per path: exact for E<p_t, G(X_t)> with G known at time t, which is all
+    the Hamiltonian gap and the control gradient take from the adjoint.
+    """
+    return _solve(problem, ensemble, PathwiseSpec(clip=clip), compute_q=False)
+
+
+def _solve(problem, ensemble, spec, **kw) -> AdjointSolution:
     domain, cost = problem.domain, problem.cost
     terminal = cost.terminal_gradient_coeffs(domain, ensemble.modes[:, -1])
     u = ensemble.control.values
@@ -249,8 +327,7 @@ def solve_adjoint_regression(problem, ensemble: EnsembleStates,
     def forcing_fn(n, state_modes):
         return cost.running_gradient_coeffs(domain, ensemble.times[n], state_modes, u[n])
 
-    return backward_sweep(domain, ensemble, problem.drift, terminal, forcing_fn,
-                          spec, compute_q=compute_q, sobolev_s=sobolev_s)
+    return backward_sweep(domain, ensemble, problem.drift, terminal, forcing_fn, spec, **kw)
 
 
 # -- duality -------------------------------------------------------------------

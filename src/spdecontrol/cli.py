@@ -24,8 +24,8 @@ import scipy
 
 from . import __version__
 from .adjoint import (MIN_PATHS_PER_FEATURE, RegressionSpec, adjoint_to_binary,
-                      diagnostics_to_json, duality_residual, solve_adjoint_regression,
-                      weighted_norm_report)
+                      diagnostics_to_json, duality_residual, solve_adjoint_pathwise,
+                      solve_adjoint_regression, weighted_norm_report)
 from .control import (CATALOG, CATALOG_OVERRIDES, ControlProblem, catalog_problem,
                       check_maximum_principle, constant_control_for, cost_of_ensemble,
                       lq_optimal_control, optimize_control, problem_from_spec)
@@ -81,7 +81,7 @@ _INLINE_PROBLEM_SCHEMA = {
             "additionalProperties": False,
             "required": ["gamma", "alpha"],
             "properties": {
-                "gamma": {"type": "number"},
+                "gamma": {"type": "number", "minimum": 0},
                 "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
             },
         },
@@ -397,10 +397,9 @@ def _run_adjoint_check(problem, seed, paths, num, study, out: Path) -> list[Path
 
 
 def _run_smp_check(problem, seed, paths, num, study, out: Path) -> list[Path]:
-    spec = _regression_spec(num, problem, paths)
     control = _base_control(problem, study)
     ens = problem.ensemble(control, paths, seed)
-    sol = solve_adjoint_regression(problem, ens, spec, compute_q=False)
+    sol = solve_adjoint_pathwise(problem, ens, num.get("clip", 1e3))
     report = check_maximum_principle(problem, sol,
                                      v_samples=problem.control_space.sample(
                                          study.get("v_count", 21)),
@@ -417,12 +416,12 @@ def _run_smp_check(problem, seed, paths, num, study, out: Path) -> list[Path]:
 
 
 def _run_optimize(problem, seed, paths, num, study, out: Path) -> list[Path]:
-    spec = _regression_spec(num, problem, paths)
+    clip = num.get("clip", 1e3)
     control0 = _base_control(problem, study)
     final, trace = optimize_control(problem, control0,
                                     iterations=study.get("iterations", 50),
                                     step_rule=study.get("step", 0.5),
-                                    n_paths=paths, seed=seed, spec=spec)
+                                    n_paths=paths, seed=seed, clip=clip)
     rows = [{"iteration": i, "J": trace["J"][i], "stderr": trace["stderr"][i],
              "grad_norm": trace["grad_norm"][i] if i < len(trace["grad_norm"]) else 0.0}
             for i in range(len(trace["J"]))]
@@ -430,7 +429,7 @@ def _run_optimize(problem, seed, paths, num, study, out: Path) -> list[Path]:
     write_csv(out / "control.csv", ["step", "u"],
               [{"step": n, "u": final.values[n]} for n in range(len(final))])
 
-    sol = solve_adjoint_regression(problem, trace["ensemble"], spec, compute_q=False)
+    sol = solve_adjoint_pathwise(problem, trace["ensemble"], clip)
     report = check_maximum_principle(problem, sol, tol=study.get("tol", 1e-2))
     write_json(out / "optimize.json", {
         "J_initial": trace["J"][0], "J_final": trace["J"][-1],
@@ -482,8 +481,7 @@ def _run_selftest(problem, seed, paths, num, study, out: Path) -> list[Path]:
     oracle = lq_optimal_control(lq)
     control = ControlProcess(values=oracle["u_star"], space=lq.control_space)
     ens = lq.ensemble(control, min(paths, 500), seed)
-    sol = solve_adjoint_regression(lq, ens, compute_q=False)
-    report = check_maximum_principle(lq, sol)
+    report = check_maximum_principle(lq, solve_adjoint_pathwise(lq, ens))
     checks["smp_at_lq_optimum"] = {"pass": report["min_gap"] >= -5e-3,
                                    "value": report["min_gap"]}
 

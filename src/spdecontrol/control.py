@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adjoint import AdjointSolution, RegressionSpec, solve_adjoint_regression
+from .adjoint import AdjointSolution, solve_adjoint_pathwise
 from .errors import ConfigurationError, ShapeError
 from .forward import (ControlProcess, EnsembleStates, _step_weights, constant_control,
                       simulate_ensemble)
@@ -37,6 +37,8 @@ class Measure:
     kind: str                               # "lebesgue" | "dirac_combination"
     points: Optional[np.ndarray] = None     # (n_pts, d), strictly interior
     weights: Optional[np.ndarray] = None    # (n_pts,)
+    # (domain, its mode values at the points), set by the first mode_values call
+    _mode_values: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lebesgue", "dirac_combination"):
@@ -47,6 +49,18 @@ class Measure:
                 raise ConfigurationError("point masses must lie strictly inside (0, pi)^d")
             object.__setattr__(self, "points", pts)
             object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+
+    def mode_values(self, domain: SpectralDomain) -> np.ndarray:
+        """The (n_pts, N) matrix e_k(xi) at the point masses, for ``domain``.
+
+        Each problem builds its own measure, so the matrix is computed on the
+        first call and kept for later calls on the same domain object.
+        """
+        kept = self._mode_values
+        if kept is None or kept[0] is not domain:
+            kept = (domain, domain.evaluate_modes(self.points))
+            object.__setattr__(self, "_mode_values", kept)
+        return kept[1]
 
 
 @dataclass(frozen=True)
@@ -83,7 +97,7 @@ class CostSpec:
             boundary_mass = math.pi ** domain.dimension - \
                 domain.quad_weight * domain.n_modes_per_axis ** domain.dimension
             return interior + boundary_mass * np.asarray(density(np.zeros(1)), dtype=float)[..., 0]
-        vals = density(modes @ domain.evaluate_modes(self.measure.points).T)   # (..., P, n_pts)
+        vals = density(modes @ self.measure.mode_values(domain).T)   # (..., P, n_pts)
         return vals @ self.measure.weights
 
     def gradient_coeffs(self, domain: SpectralDomain, modes: np.ndarray, density_dsigma) -> np.ndarray:
@@ -91,7 +105,7 @@ class CostSpec:
         modes = np.atleast_2d(modes)
         if self.measure.kind == "lebesgue":
             return domain.to_coeffs(density_dsigma(domain.to_field(modes)))
-        basis = domain.evaluate_modes(self.measure.points)
+        basis = self.measure.mode_values(domain)
         weighted = density_dsigma(modes @ basis.T) * self.measure.weights
         return weighted @ basis
 
@@ -318,7 +332,9 @@ def check_maximum_principle(problem: ControlProblem, solution: AdjointSolution,
 
     gap(t, v) = E[H(t, v, X_t, p_t) - H(t, u_t, X_t, p_t)], with u, X and p
     those of the sweep's forward ensemble; at an optimal control every gap
-    is nonnegative up to Monte Carlo noise.
+    is nonnegative up to Monte Carlo noise.  The control is deterministic,
+    so the gap takes p only through E<p_t, G(X_t)> with G known at time t,
+    and a regression and a pathwise sweep estimate the same gaps.
     """
     if v_samples is None:
         v_samples = problem.control_space.sample(21)
@@ -352,11 +368,12 @@ GRAD_TOL = 1e-10
 def optimize_control(problem: ControlProblem, control: ControlProcess,
                      iterations: int = 50, step_rule: float = 0.5, *, n_paths: int = 100,
                      seed: Optional[int] = None,
-                     spec: RegressionSpec = None) -> tuple[ControlProcess, dict]:
+                     clip: float = 1e3) -> tuple[ControlProcess, dict]:
     """Projected gradient descent on piecewise-constant controls, fixed step ``step_rule``.
 
     The descent direction is the adjoint-based Hamiltonian gradient
-    d_u H = d_u L + <p, d_u F>; iterations share one set of noise streams
+    d_u H = d_u L + <p, d_u F>, with p the pathwise sweep's p~ (``clip``
+    bounds its drift derivative); iterations share one set of noise streams
     (common random numbers) so the recorded costs are comparable: the
     normals are drawn once, by the first ensemble, and every later one
     reuses them.  Descent stops after ``iterations`` steps, or early once
@@ -395,7 +412,7 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
         else:
             non_decreasing = 0
 
-        sol = solve_adjoint_regression(problem, ens, spec, compute_q=False)
+        sol = solve_adjoint_pathwise(problem, ens, clip)
         grad = np.array([np.mean(hamiltonian(problem, ens.times[n], ens.modes[:, n],
                                              sol.p_values[:, n], values[n], u_derivative=True))
                          for n in range(len(ctrl))])

@@ -214,7 +214,7 @@ def test_criterion_08_maximum_principle():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         final, _ = sc.optimize_control(cubic, start, iterations=50, step_rule=0.5,
-                                       n_paths=200, seed=809, spec=spec)
+                                       n_paths=200, seed=809)
     ens_c = cubic.ensemble(final, 400, 810)
     sol_c = sc.solve_adjoint_regression(cubic, ens_c, spec, compute_q=False)
     rep_c = sc.check_maximum_principle(cubic, sol_c,

@@ -5,12 +5,14 @@ import struct
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import chi2
 
-from spdecontrol.adjoint import (RegressionSpec, _StepRegressor, _default_features,
-                                 adjoint_to_binary, backward_sweep, duality_residual,
-                                 read_binary_adjoint, solve_adjoint_regression,
-                                 weighted_norm_report)
-from spdecontrol.control import catalog_problem, constant_control_for, lq_adjoint_oracle
+from spdecontrol.adjoint import (PathwiseSpec, RegressionSpec, _StepRegressor,
+                                 _default_features, adjoint_to_binary, backward_sweep,
+                                 duality_residual, read_binary_adjoint, solve_adjoint_pathwise,
+                                 solve_adjoint_regression, weighted_norm_report)
+from spdecontrol.control import (catalog_problem, check_maximum_principle, constant_control_for,
+                                 lq_adjoint_oracle)
 from spdecontrol.errors import ConfigurationError, InstabilityError, RegressionError
 from spdecontrol.forward import ControlProcess, constant_control, weight_cell_integrals
 
@@ -187,6 +189,48 @@ class TestRegressor:
         assert reg.cond == 1.0
         fitted = reg.fit_predict(np.arange(50.0)[:, None])
         assert np.allclose(fitted, np.mean(np.arange(50.0)))
+
+
+class TestPathwiseSweep:
+    """The pathwise p~ gives the gap and the gradient exactly, with an honest error bar."""
+
+    def test_lq_path_means_and_gaps_match_the_regression(self, lq_ensemble):
+        # f' is constant on lq-1d and the basis holds an intercept, so the fit keeps the
+        # path mean of each step's target: the two sweeps differ by rounding only
+        problem, ens = lq_ensemble
+        fitted = solve_adjoint_regression(problem, ens, compute_q=False)
+        pathwise = solve_adjoint_pathwise(problem, ens)
+        assert np.all(np.max(np.abs(pathwise.p_mean - fitted.p_mean), axis=1)
+                      <= 1e-12 * np.max(np.abs(fitted.p_mean), axis=1))
+        gaps_fitted = check_maximum_principle(problem, fitted)["gaps"]
+        gaps_pathwise = check_maximum_principle(problem, pathwise)["gaps"]
+        assert np.all(np.max(np.abs(gaps_pathwise - gaps_fitted), axis=1)
+                      <= 1e-12 * np.max(np.abs(gaps_fitted), axis=1))
+        assert all(d.keys() == {"step", "condition", "clip_rate"} and d["condition"] == 1.0
+                   for d in pathwise.diagnostics)
+
+    def test_per_path_stderr_matches_the_spread_over_seeds(self):
+        # m_t = E<p~_t, c1>, c1 the coefficients of the constant field 1: the ensemble
+        # means of 16 seeds spread as the per-path standard error says, within the
+        # two-sided 0.1% chi-square interval of 15 degrees of freedom
+        problem = catalog_problem("cubic-1d", modes=16, n_steps=64, seed=1000)
+        control = constant_control_for(problem, 0.2)
+        c1 = problem.domain.ones_coeffs()
+        seeds, n_paths = range(1000, 1016), 200
+        means, variances = [], []
+        for seed in seeds:
+            sol = solve_adjoint_pathwise(problem, problem.ensemble(control, n_paths, seed))
+            m = sol.p_values[:, :-1] @ c1          # p~ vanishes at T: no terminal cost
+            means.append(m.mean(axis=0))
+            variances.append(m.var(axis=0, ddof=1) / n_paths)
+        ratio = math.sqrt(np.var(means, axis=0, ddof=1).mean() / np.mean(variances))
+        df = len(seeds) - 1
+        assert math.sqrt(chi2.ppf(0.001, df) / df) < ratio < math.sqrt(chi2.ppf(0.999, df) / df)
+
+    def test_refuses_q(self, lq_ensemble):
+        problem, ens = lq_ensemble
+        with pytest.raises(ConfigurationError, match="compute_q"):
+            backward_sweep(problem.domain, ens, problem.drift, None, None, PathwiseSpec())
 
 
 def zero_control_sweep(problem, n_paths, seed, **kw):

@@ -56,10 +56,14 @@ REFUSED_CHANGES = {
     "dimension-4": lambda cfg: cfg["problem"]["domain"].update(dimension=4),
 }
 
-# catalog configs the schema refuses: overrides next to an inline problem, which
-# were ignored, and override values outside the range of the inline value they replace
+# configs the schema refuses, with the path it names: overrides next to an inline
+# problem, which were ignored, override values outside the range of the inline value
+# they replace, and a negative noise exponent, inline or as an override
 REFUSED_OVERRIDES = {
     "inline-problem": ({"problem": CATALOG["lq-1d"], "overrides": {"n_steps": 16}}, "problem"),
+    "inline-gamma--1": ({"problem": dict(CATALOG["lq-1d"], noise={"gamma": -1, "alpha": 0.25})},
+                        "problem/noise/gamma"),
+    "gamma--1": ({"problem": "lq-1d", "overrides": {"gamma": -1}}, "overrides/gamma"),
     "alpha-0.7": ({"problem": "lq-1d", "overrides": {"alpha": 0.7}}, "overrides/alpha"),
     "n_steps-32.7": ({"problem": "lq-1d", "overrides": {"n_steps": 32.7}}, "overrides/n_steps"),
     "modes-8.9": ({"problem": "lq-1d", "overrides": {"modes": 8.9}}, "overrides/modes"),
@@ -280,7 +284,7 @@ class TestRunner:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["complete"] is True
 
-    @pytest.mark.parametrize("subcommand", ["adjoint-check", "smp-check", "optimize", "selftest"])
+    @pytest.mark.parametrize("subcommand", ["adjoint-check", "selftest"])
     def test_path_budget_fails_before_simulation(self, tmp_path, monkeypatch, subcommand, capsys):
         # lq-1d's default basis has 17 features and wants 170 paths
         monkeypatch.setattr(spdecontrol.forward, "_exp_euler", no_simulation)
@@ -292,6 +296,17 @@ class TestRunner:
         assert run(subcommand, str(cfg), str(out)) == 1
         assert json.loads((out / "manifest.json").read_text())["complete"] is False
         assert "wants at least 170 paths, got 50" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["smp-check", "optimize"])
+    def test_pathwise_commands_have_no_path_budget(self, tmp_path, subcommand, capsys):
+        # the same 50 paths and basis_modes: the pathwise sweep fits no basis
+        cfg = write_config(tmp_path, {"problem": "lq-1d",
+                                      "numerics": {"seed": 1, "paths": 50, "basis_modes": 16},
+                                      "study": {"iterations": 3}})
+        out = tmp_path / "out"
+        assert run(subcommand, str(cfg), str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["complete"] is True
+        assert capsys.readouterr().err == ""
 
     def test_write_json_keeps_large_arrays(self, tmp_path):
         values = np.linspace(0.0, 1.0, 100)
@@ -416,10 +431,11 @@ class TestRegressionBasisFit:
             spdecontrol.cli._regression_spec(num, cubic, paths)
 
     def test_smp_check_on_catalog_defaults(self, tmp_path, capsys):
+        # smp-check takes no regression, so the basis is not fitted to the paths
         cfg = write_config(tmp_path, {"problem": "dirac-2d"})
         out = tmp_path / "out"
         assert run("smp-check", str(cfg), str(out)) == 0
-        assert "using numerics.basis_modes = 39" in capsys.readouterr().err
+        assert "using numerics.basis_modes" not in capsys.readouterr().err
         assert json.loads((out / "manifest.json").read_text())["complete"] is True
 
 
@@ -472,4 +488,27 @@ def test_adjoint_check_default_bytes_independent_of_blas_threads(tmp_path):
     # moved duality_eta.lhs in the last bit between 1 and 2 threads
     one, two = (manifests_at_blas_threads(tmp_path, _ADJOINT_CHECK_DEFAULTS, t) for t in ("1", "2"))
     assert '"complete": true' in one
+    assert one == two
+
+
+_PATHWISE_COMMANDS = """
+import json, pathlib, sys
+from spdecontrol.cli import run
+root = pathlib.Path(sys.argv[1])
+config = root / "cubic-1d.json"
+config.write_text(json.dumps({"problem": "cubic-1d", "overrides": {"n_steps": 64},
+                              "numerics": {"paths": 400}, "study": {"iterations": 3}}))
+for sub in ("smp-check", "optimize"):
+    assert run(sub, str(config), str(root / sub)) == 0, sub
+    print((root / sub / "manifest.json").read_text())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
+def test_pathwise_commands_bytes_independent_of_blas_threads(tmp_path):
+    # catalog cubic-1d (64 modes, 39 basis modes at 400 paths): a step regression's
+    # (40, 400) @ (400, 64) products moved gaps.csv, control.csv, descent.csv and
+    # optimize.json between 1 and 2 threads; the pathwise sweep has no path-axis product
+    one, two = (manifests_at_blas_threads(tmp_path, _PATHWISE_COMMANDS, t) for t in ("1", "2"))
+    assert one.count('"complete": true') == 2
     assert one == two
