@@ -1,9 +1,13 @@
 """Backward equation for the adjoint pair (p, q), with or without a step regression.
 
 The backward recursion is the exact algebraic transpose of the forward
-exponential-Euler step.  ``backward_sweep`` is its one loop; the conditional
-expectation of each step's target is the only part that varies, chosen by
-the sweep's spec:
+exponential-Euler step.  ``_backward_nodes`` is its one loop, a generator
+in the manner of ``forward._exp_euler_nodes``: it yields the nodes n =
+n_steps - 1 ... 0 one at a time, each with p_n, the state field it took
+for f' and what a collector needs (the step's fit, target and fitted value
+and its clip rate), and raises ``InstabilityError`` at the first node
+whose p is not finite.  The conditional expectation of each step's target
+is the only part that varies, chosen by the sweep's spec:
 
 - ``RegressionSpec``: least-squares Monte Carlo (Longstaff-Schwartz style),
   a regression on basis functions of the current state's mode coefficients.
@@ -18,13 +22,22 @@ the sweep's spec:
   norms and ``adjoint0.bin`` need the adapted p (on the pathwise p below the
   duality identity holds path by path, so it would test nothing).
 - ``PathwiseSpec``: no fit; each path keeps its own target, which gives the
-  pathwise recursion p~.  ``smp-check``, ``optimize`` and ``selftest``'s
-  maximum-principle check use it.  Controls here are deterministic, so the
+  pathwise recursion p~.  Controls here are deterministic, so the
   Hamiltonian gap and the control gradient use the adjoint only through
   E<p_t, G(X_t)> with G known at time t, and by the tower property that
   expectation is the same for p~: the pathwise sweep is unbiased for them,
   needs no basis, no path budget and no SVD, and its per-path values are
   independent, so their spread is an honest standard error.  It has no q.
+
+Two kinds of caller take the nodes.  ``backward_sweep`` drains the loop
+into an ``AdjointSolution`` (p on every node, the weighted p integrals,
+the reduced q block and a diagnostics entry per step); ``adjoint-check``,
+``selftest`` and ``solve_adjoint_pathwise`` use it.  ``PathwiseAdjoint``
+streams p~ to a consumer one node at a time and stores nothing: the
+gradient of ``control.optimize_control`` and the gap check of
+``smp-check`` and ``optimize`` take their nodes from it, so neither builds
+a (P, n_steps + 1, N) p array, and the Hamiltonian reuses the state field
+the loop took for f'.
 
 Instead of the double smoothing used in the continuous theory (semigroup
 mollification of the data plus Lipschitz regularization of the drift), the
@@ -38,13 +51,16 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, InstabilityError, RegressionError, ShapeError
 from .forward import EnsembleStates, linearized_modes, weight_cell_integrals, _step_weights
 from .spectral import SpectralDomain
+
+if TYPE_CHECKING:
+    from .control import ControlProblem
 
 # a step regression past this condition number is refused
 CONDITION_LIMIT = 1e10
@@ -204,25 +220,87 @@ class AdjointSolution:
     def pair(self, i: int) -> AdjointPair:
         return AdjointPair(times=self.times, p_coeffs=self.p_values[i])
 
+    def nodes(self):
+        """The stored p rows as (n, None, p_n) for n = 0 ... n_steps - 1; no field is kept."""
+        for n in range(self.p_values.shape[1] - 1):
+            yield n, None, self.p_values[:, n]
+
+
+class _BackwardNode(NamedTuple):
+    """One node of the backward loop: p_n and what produced it."""
+
+    step: int
+    state_field: Optional[np.ndarray]  # to_field of the state node, taken for f' (or None)
+    p: np.ndarray                      # p_n (P, N), forcing included
+    fit: _StepRegressor | _KeptTarget
+    target: np.ndarray                 # the step's target, before conditioning
+    fitted: np.ndarray                 # its conditional expectation, before the forcing
+    clip_rate: float
+
+
+def _terminal_row(terminal: Optional[np.ndarray], n_paths: int, n_modes: int,
+                  n_steps: int) -> np.ndarray:
+    """The checked terminal p, node ``n_steps`` of the sweep (zero if ``terminal`` is None)."""
+    p = np.zeros((n_paths, n_modes)) if terminal is None else np.array(terminal, dtype=float)
+    if p.shape != (n_paths, n_modes):
+        raise ShapeError(f"terminal data must have shape ({n_paths}, {n_modes})")
+    _check_finite(p, n_steps)
+    return p
+
+
+def _check_finite(p: np.ndarray, step: int):
+    if not np.isfinite(p).all():
+        raise InstabilityError(f"adjoint p turned non-finite in step {step}", step=step)
+
+
+def _backward_nodes(domain: SpectralDomain, ensemble: EnsembleStates, drift,
+                    p_terminal: np.ndarray, forcing_fn: Optional[Callable],
+                    spec: RegressionSpec | PathwiseSpec, fprime_active: bool = True):
+    """The backward loop: nodes n = n_steps - 1 ... 0, yielded one at a time.
+
+    Each step conditions its target by ``spec`` and then adds the
+    F_n-measurable forcing, so only the genuinely future-measurable part is
+    conditioned.  A non-finite p_n raises ``InstabilityError`` naming step n
+    before the node is yielded, so no forcing below it is evaluated.
+    """
+    modes = ensemble.modes
+    decay, wdrift = _step_weights(domain, ensemble.dt)
+    control_values = ensemble.control.values
+    p_next = p_terminal
+    for n in range(modes.shape[1] - 2, -1, -1):
+        state = modes[:, n]
+        target = decay * p_next
+        state_field, clip_rate = None, 0.0
+        if fprime_active:
+            state_field = domain.to_field(state)
+            mult = np.asarray(drift.f_prime(state_field, control_values[n]), dtype=float)
+            clipped = np.clip(mult, -spec.clip, spec.clip)
+            clip_rate = float(np.mean(clipped != mult))
+            target = target + domain.to_coeffs(clipped * domain.to_field(wdrift * p_next))
+        fit = spec.step(state)
+        fitted = fit.fit_predict(target)
+        p = fitted if forcing_fn is None else fitted + wdrift * forcing_fn(n, state)
+        _check_finite(p, n)
+        yield _BackwardNode(n, state_field, p, fit, target, fitted, clip_rate)
+        p_next = p
+
 
 def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
                    terminal: Optional[np.ndarray],
                    forcing_fn: Optional[Callable], spec: RegressionSpec | PathwiseSpec = None, *,
                    fprime_active: bool = True, compute_q: bool = True,
                    sobolev_s: Optional[float] = None) -> AdjointSolution:
-    """Backward pass given explicit terminal data and forcing.
+    """Backward pass given explicit terminal data and forcing, collected into a solution.
 
     ``terminal`` is a (P, N) coefficient array (zero if None); ``forcing_fn``
     maps (step, state modes (P, N)) to the running-forcing coefficients.
     ``spec`` (a ``RegressionSpec`` by default) sets how each step's target is
     conditioned: a ``RegressionSpec`` fits it, a ``PathwiseSpec`` keeps it
     per path and refuses ``compute_q=True``, since q needs the regression.
-    The F_n-measurable forcing is added outside the conditioning; only the
-    genuinely future-measurable part is conditioned.  Every diagnostics
-    entry holds the step's ``condition`` (1.0 when no fit is taken) and
-    ``clip_rate``.  A non-finite p raises ``InstabilityError`` naming the
-    step that produced it first (step n fills node n; checked once, after
-    the loop).
+    Every diagnostics entry holds the step's ``condition`` (1.0 when no fit
+    is taken) and ``clip_rate``.  A non-finite p raises ``InstabilityError``
+    at once, naming the step that produced it (the terminal row is step
+    n_steps).
     """
     spec = spec or RegressionSpec()
     if compute_q and isinstance(spec, PathwiseSpec):
@@ -232,19 +310,15 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
     n_paths, n_plus, n_modes = modes.shape
     n_steps = n_plus - 1
     dt = ensemble.dt
-    horizon = float(ensemble.times[-1])
     spec.check_paths(n_modes, n_paths)
     if sobolev_s is None:
         sobolev_s = domain.dimension / 2.0 + 0.5
 
-    decay, wdrift = _step_weights(domain, dt)
-    cells = weight_cell_integrals(horizon, n_steps, domain.lambda_exponent)
+    cells = weight_cell_integrals(float(ensemble.times[-1]), n_steps, domain.lambda_exponent)
     vprime_w = (1.0 + domain.eigenvalues) ** (-sobolev_s)
 
     p_values = np.empty((n_paths, n_steps + 1, n_modes))
-    p_next = np.zeros((n_paths, n_modes)) if terminal is None else np.array(terminal, dtype=float)
-    if p_next.shape != (n_paths, n_modes):
-        raise ShapeError(f"terminal data must have shape ({n_paths}, {n_modes})")
+    p_next = _terminal_row(terminal, n_paths, n_modes, n_steps)
     p_values[:, n_steps] = p_next
 
     mean_q = np.zeros((n_steps, n_modes, n_modes)) if compute_q else None
@@ -252,22 +326,11 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
     iq = np.zeros(n_paths) if compute_q else None
     diagnostics = []
 
-    control_values = ensemble.control.values
-    for n in range(n_steps - 1, -1, -1):
-        target = decay * p_next
-        clip_rate = 0.0
-        if fprime_active:
-            fields = domain.to_field(modes[:, n])
-            mult = np.asarray(drift.f_prime(fields, control_values[n]), dtype=float)
-            clipped = np.clip(mult, -spec.clip, spec.clip)
-            clip_rate = float(np.mean(clipped != mult))
-            target = target + domain.to_coeffs(clipped * domain.to_field(wdrift * p_next))
-
-        reg = spec.step(modes[:, n])
-        p_fit = reg.fit_predict(target)
-        diag = {"step": n, "condition": reg.cond, "clip_rate": clip_rate,
-                **reg.residual_report(target, p_fit)}
-
+    for node in _backward_nodes(domain, ensemble, drift, p_next, forcing_fn, spec,
+                                fprime_active):
+        n, reg = node.step, node.fit
+        diagnostics.append({"step": n, "condition": reg.cond, "clip_rate": node.clip_rate,
+                            **reg.residual_report(node.target, node.fitted)})
         if compute_q:
             # the fit of q_target = p_next (x) dw / dt is U C with C = U^T q_target, built
             # one feature at a time: an (N, P) @ (P, N_K) product each, small enough to give
@@ -277,23 +340,39 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
             c = np.stack([(u_f[:, None] * p_next).T @ dw for u_f in reg.u.T]) / dt
             m = (c * vprime_w[:, None]).reshape(len(c), -1) @ c.reshape(len(c), -1).T
             iq += np.sum((reg.u @ m) * reg.u, axis=1) * dt
+        p_values[:, n] = node.p
+        ip += np.sum(node.p**2, axis=1) * cells[n]
+        p_next = node.p
 
-        if forcing_fn is not None:
-            p_fit = p_fit + wdrift * forcing_fn(n, modes[:, n])
-        p_values[:, n] = p_fit
-        ip += np.sum(p_fit**2, axis=1) * cells[n]
-        diagnostics.append(diag)
-        p_next = p_fit
-
-    if not np.isfinite(p_values).all():
-        # the sweep runs backwards: the highest non-finite row came first
-        step = int(np.flatnonzero(~np.isfinite(p_values).all(axis=(0, 2)))[-1])
-        raise InstabilityError(f"adjoint p turned non-finite in step {step}", step=step)
     diagnostics.reverse()
     return AdjointSolution(domain=domain, times=ensemble.times, p_values=p_values,
                            mean_q=mean_q, p_weighted_per_path=ip,
                            q_weighted_per_path=iq, diagnostics=diagnostics,
                            ensemble=ensemble)
+
+
+@dataclass
+class PathwiseAdjoint:
+    """The pathwise p~ along a forward ensemble, streamed node by node and never stored.
+
+    ``nodes()`` runs the backward loop and yields (n, state_field, p~_n), the
+    state node's collocation values the loop took for f' and p~ there, so a
+    consumer that evaluates the Hamiltonian transforms no state node again.
+    Each call runs the loop afresh.
+    """
+
+    problem: ControlProblem
+    ensemble: EnsembleStates
+    clip: float = 1e3
+
+    def nodes(self):
+        problem, ens = self.problem, self.ensemble
+        n_paths, n_plus, n_modes = ens.modes.shape
+        terminal, forcing_fn = _cost_data(problem, ens)
+        p_terminal = _terminal_row(terminal, n_paths, n_modes, n_plus - 1)
+        for node in _backward_nodes(problem.domain, ens, problem.drift, p_terminal, forcing_fn,
+                                    PathwiseSpec(clip=self.clip)):
+            yield node.step, node.state_field, node.p
 
 
 def solve_adjoint_regression(problem, ensemble: EnsembleStates,
@@ -310,16 +389,18 @@ def solve_adjoint_regression(problem, ensemble: EnsembleStates,
 
 def solve_adjoint_pathwise(problem, ensemble: EnsembleStates,
                            clip: float = 1e3) -> AdjointSolution:
-    """The pathwise p~ for ``problem`` along a forward ensemble, with no q.
+    """The pathwise p~ for ``problem`` along a forward ensemble, stored, with no q.
 
     Same data as ``solve_adjoint_regression``, with each step's target kept
     per path: exact for E<p_t, G(X_t)> with G known at time t, which is all
     the Hamiltonian gap and the control gradient take from the adjoint.
+    ``PathwiseAdjoint`` gives the same nodes without storing them.
     """
     return _solve(problem, ensemble, PathwiseSpec(clip=clip), compute_q=False)
 
 
-def _solve(problem, ensemble, spec, **kw) -> AdjointSolution:
+def _cost_data(problem, ensemble):
+    """The sweep's terminal datum and running forcing, from the problem's cost."""
     domain, cost = problem.domain, problem.cost
     terminal = cost.terminal_gradient_coeffs(domain, ensemble.modes[:, -1])
     u = ensemble.control.values
@@ -327,7 +408,13 @@ def _solve(problem, ensemble, spec, **kw) -> AdjointSolution:
     def forcing_fn(n, state_modes):
         return cost.running_gradient_coeffs(domain, ensemble.times[n], state_modes, u[n])
 
-    return backward_sweep(domain, ensemble, problem.drift, terminal, forcing_fn, spec, **kw)
+    return terminal, forcing_fn
+
+
+def _solve(problem, ensemble, spec, **kw) -> AdjointSolution:
+    terminal, forcing_fn = _cost_data(problem, ensemble)
+    return backward_sweep(problem.domain, ensemble, problem.drift, terminal, forcing_fn,
+                          spec, **kw)
 
 
 # -- duality -------------------------------------------------------------------

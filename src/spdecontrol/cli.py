@@ -23,9 +23,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .adjoint import (MIN_PATHS_PER_FEATURE, RegressionSpec, adjoint_to_binary,
-                      diagnostics_to_json, duality_residual, solve_adjoint_pathwise,
-                      solve_adjoint_regression, weighted_norm_report)
+from .adjoint import (MIN_PATHS_PER_FEATURE, PathwiseAdjoint, RegressionSpec,
+                      adjoint_to_binary, diagnostics_to_json, duality_residual,
+                      solve_adjoint_pathwise, solve_adjoint_regression, weighted_norm_report)
 from .control import (CATALOG, CATALOG_OVERRIDES, ControlProblem, catalog_problem,
                       check_maximum_principle, constant_control_for, cost_of_ensemble,
                       lq_optimal_control, optimize_control, problem_from_spec)
@@ -399,8 +399,7 @@ def _run_adjoint_check(problem, seed, paths, num, study, out: Path) -> list[Path
 def _run_smp_check(problem, seed, paths, num, study, out: Path) -> list[Path]:
     control = _base_control(problem, study)
     ens = problem.ensemble(control, paths, seed)
-    sol = solve_adjoint_pathwise(problem, ens, num.get("clip", 1e3))
-    report = check_maximum_principle(problem, sol,
+    report = check_maximum_principle(problem, PathwiseAdjoint(problem, ens, num.get("clip", 1e3)),
                                      v_samples=problem.control_space.sample(
                                          study.get("v_count", 21)),
                                      tol=study.get("tol", 1e-3))
@@ -429,8 +428,8 @@ def _run_optimize(problem, seed, paths, num, study, out: Path) -> list[Path]:
     write_csv(out / "control.csv", ["step", "u"],
               [{"step": n, "u": final.values[n]} for n in range(len(final))])
 
-    sol = solve_adjoint_pathwise(problem, trace["ensemble"], clip)
-    report = check_maximum_principle(problem, sol, tol=study.get("tol", 1e-2))
+    report = check_maximum_principle(problem, PathwiseAdjoint(problem, trace["ensemble"], clip),
+                                     tol=study.get("tol", 1e-2))
     write_json(out / "optimize.json", {
         "J_initial": trace["J"][0], "J_final": trace["J"][-1],
         "iterations": len(trace["J"]) - 1,

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adjoint import AdjointSolution, solve_adjoint_pathwise
+from .adjoint import AdjointSolution, PathwiseAdjoint
 from .errors import ConfigurationError, ShapeError
 from .forward import (ControlProcess, EnsembleStates, _step_weights, constant_control,
                       simulate_ensemble)
@@ -83,17 +83,22 @@ class CostSpec:
 
     # -- measure integrals, vectorized over a path batch -------------------
 
-    def integrate(self, domain: SpectralDomain, modes: np.ndarray, density) -> np.ndarray:
+    def integrate(self, domain: SpectralDomain, modes: np.ndarray, density,
+                  state_field: Optional[np.ndarray] = None) -> np.ndarray:
         """integral density(X(xi)) mu(dxi) for each path; modes is (P, N).
 
         The Lebesgue quadrature pairs the interior collocation sum with the
         boundary nodes, where the state vanishes (Dirichlet), so constant
-        densities integrate exactly to their measure-pi^d value.  Leading
-        axes the density adds (one per control value) stay before the paths.
+        densities integrate exactly to their measure-pi^d value; it takes
+        ``state_field``, the collocation values of ``modes``, when the
+        caller has them.  Leading axes the density adds (one per control
+        value) stay before the paths.
         """
         modes = np.atleast_2d(modes)
         if self.measure.kind == "lebesgue":
-            interior = domain.quad_weight * np.sum(density(domain.to_field(modes)), axis=-1)
+            if state_field is None:
+                state_field = domain.to_field(modes)
+            interior = domain.quad_weight * np.sum(density(state_field), axis=-1)
             boundary_mass = math.pi ** domain.dimension - \
                 domain.quad_weight * domain.n_modes_per_axis ** domain.dimension
             return interior + boundary_mass * np.asarray(density(np.zeros(1)), dtype=float)[..., 0]
@@ -296,7 +301,8 @@ def cost_of_ensemble(problem: ControlProblem, ens: EnsembleStates) -> np.ndarray
 # -- Hamiltonian and the maximum-principle check ---------------------------------
 
 def hamiltonian(problem: ControlProblem, t: float, modes: np.ndarray, p: np.ndarray,
-                u, *, u_derivative: bool = False) -> np.ndarray:
+                u, *, u_derivative: bool = False,
+                state_field: Optional[np.ndarray] = None) -> np.ndarray:
     """H(t, u, X, p) = L(t, X, u) + <p, F(X, u)> per path in truncated coordinates.
 
     ``modes`` and ``p`` are (P, N) coefficient batches.  A scalar ``u``
@@ -308,24 +314,32 @@ def hamiltonian(problem: ControlProblem, t: float, modes: np.ndarray, p: np.ndar
     ``quad_weight * to_field^T`` (on the dense and on the DST-I path), so
     <p, to_coeffs(f)> = quad_weight * sum_j to_field(p)_j f(sigma_j, u), and
     one P-row transform of p replaces the analysis of the (V, P) reaction.
+    ``state_field``, the collocation values of ``modes`` when the caller
+    already has them, serves the reaction and the cost integral; without it
+    the state is transformed here, once, to the same values.
     """
     domain, cost, drift = problem.domain, problem.cost, problem.drift
     modes, p = np.asarray(modes, dtype=float), np.asarray(p, dtype=float)
     if modes.ndim != 2 or modes.shape[1] != domain.n_modes or p.shape != modes.shape:
         raise ShapeError(f"modes and p must both be (P, {domain.n_modes}) coefficient batches")
+    if state_field is None:
+        state_field = domain.to_field(modes)
+    elif np.shape(state_field) != modes.shape:
+        raise ShapeError(f"state_field must have the shape {modes.shape} of modes")
     density, reaction = (cost.running_du, drift.f_u) if u_derivative else (cost.running, drift.f)
     if density is None or reaction is None:
         raise ConfigurationError("d_u H needs d_u l and d_u f; catalog problems have both")
     u = np.asarray(u, dtype=float)
     u_grid = u[..., None, None]                 # broadcasts against the (P, N) field
-    reaction_values = reaction(domain.to_field(modes), u_grid)
+    reaction_values = reaction(state_field, u_grid)
     pairing = domain.quad_weight * np.einsum("...pj,pj->...p", reaction_values,
                                              domain.to_field(p))
-    h = cost.integrate(domain, modes, lambda s: density(t, s, u_grid))
+    h = cost.integrate(domain, modes, lambda s: density(t, s, u_grid), state_field)
     return np.broadcast_to(h + pairing, u.shape + modes.shape[:1])
 
 
-def check_maximum_principle(problem: ControlProblem, solution: AdjointSolution,
+def check_maximum_principle(problem: ControlProblem,
+                            solution: AdjointSolution | PathwiseAdjoint,
                             v_samples: Optional[np.ndarray] = None,
                             tol: float = 1e-3) -> dict:
     """Ensemble-averaged Hamiltonian gaps over grid times and control values.
@@ -334,7 +348,10 @@ def check_maximum_principle(problem: ControlProblem, solution: AdjointSolution,
     those of the sweep's forward ensemble; at an optimal control every gap
     is nonnegative up to Monte Carlo noise.  The control is deterministic,
     so the gap takes p only through E<p_t, G(X_t)> with G known at time t,
-    and a regression and a pathwise sweep estimate the same gaps.
+    and a regression and a pathwise sweep estimate the same gaps.  The
+    gaps are taken node by node from ``solution.nodes()``: a stored
+    ``AdjointSolution`` replays its p rows, a ``PathwiseAdjoint`` streams
+    p~_n with the state field its loop took, and stores no p.
     """
     if v_samples is None:
         v_samples = problem.control_space.sample(21)
@@ -343,9 +360,9 @@ def check_maximum_principle(problem: ControlProblem, solution: AdjointSolution,
         raise ConfigurationError("adjoint solution does not reference its forward ensemble")
     u = ens.control.values
     gaps = np.empty((u.size, len(v_samples)))
-    for n in range(u.size):
-        h = hamiltonian(problem, ens.times[n], ens.modes[:, n], solution.p_values[:, n],
-                        np.concatenate([[u[n]], v_samples]))
+    for n, state_field, p in solution.nodes():
+        h = hamiltonian(problem, ens.times[n], ens.modes[:, n], p,
+                        np.concatenate([[u[n]], v_samples]), state_field=state_field)
         gaps[n] = np.mean(h[1:] - h[0], axis=1)
     worst = np.unravel_index(np.argmin(gaps), gaps.shape)
     return {
@@ -372,16 +389,19 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
     """Projected gradient descent on piecewise-constant controls, fixed step ``step_rule``.
 
     The descent direction is the adjoint-based Hamiltonian gradient
-    d_u H = d_u L + <p, d_u F>, with p the pathwise sweep's p~ (``clip``
-    bounds its drift derivative); iterations share one set of noise streams
-    (common random numbers) so the recorded costs are comparable: the
-    normals are drawn once, by the first ensemble, and every later one
-    reuses them.  Descent stops after ``iterations`` steps, or early once
-    the gradient norm falls below ``GRAD_TOL``; the control has not moved
-    then, and its last ensemble is the final one.  The trace holds the
-    per-iteration "J", "stderr" and "grad_norm" lists, J and stderr ending
-    with the final control's, and, as "ensemble", the ensemble under the
-    returned control, so a caller need not simulate it again.
+    d_u H = d_u L + <p, d_u F>, with p the pathwise p~ (``clip`` bounds its
+    drift derivative), taken node by node from a ``PathwiseAdjoint``, so no
+    p array is built; iterations share one set of noise streams (common
+    random numbers) so the recorded costs are comparable: the normals are
+    drawn once, by the first ensemble, and every later one reuses them.
+    Once the control has moved, the last ensemble is dropped, its normals
+    kept, before the next is simulated.  Descent stops after ``iterations``
+    steps, or early once the gradient norm falls below ``GRAD_TOL``; the
+    control has not moved then, and its last ensemble is the final one.
+    The trace holds the per-iteration "J", "stderr" and "grad_norm" lists,
+    J and stderr ending with the final control's, and, as "ensemble", the
+    ensemble under the returned control, so a caller need not simulate it
+    again.
     """
     if problem.drift.f_u is None or problem.cost.running_du is None:
         raise ConfigurationError("optimizer needs d_u f and d_u l; catalog problems have both")
@@ -396,12 +416,9 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
         trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
 
     non_decreasing = 0
-    values = control.values.copy()
-    normals = None
+    ctrl = ControlProcess(values=control.values.copy(), space=problem.control_space)
+    ens = problem.ensemble(ctrl, n_paths, seed)
     for m in range(iterations):
-        ctrl = ControlProcess(values=values, space=problem.control_space)
-        ens = problem.ensemble(ctrl, n_paths, seed, normals=normals)
-        normals = ens.normals
         record(ens)
         if m > 0 and trace["J"][-1] >= trace["J"][-2]:
             non_decreasing += 1
@@ -412,22 +429,29 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
         else:
             non_decreasing = 0
 
-        sol = solve_adjoint_pathwise(problem, ens, clip)
-        grad = np.array([np.mean(hamiltonian(problem, ens.times[n], ens.modes[:, n],
-                                             sol.p_values[:, n], values[n], u_derivative=True))
-                         for n in range(len(ctrl))])
+        grad = _control_gradient(problem, ens, clip)
         gnorm = float(np.sqrt(np.sum(grad**2) * dt))
         trace["grad_norm"].append(gnorm)
         if gnorm < GRAD_TOL:
             break
-        values = problem.control_space.project(values - step_rule * grad)
-    else:
-        # the loop ran out with a moved control (or never ran): simulate it once
+        values = problem.control_space.project(ctrl.values - step_rule * grad)
         ctrl = ControlProcess(values=values, space=problem.control_space)
+        normals = ens.normals
+        del ens     # its modes go before the next ensemble's are built
         ens = problem.ensemble(ctrl, n_paths, seed, normals=normals)
     record(ens)
     trace["ensemble"] = ens
     return ctrl, trace
+
+
+def _control_gradient(problem: ControlProblem, ens: EnsembleStates, clip: float) -> np.ndarray:
+    """Ensemble mean of d_u H at each grid node, from the streamed pathwise p~."""
+    values = ens.control.values
+    grad = np.empty(values.size)
+    for n, state_field, p in PathwiseAdjoint(problem, ens, clip).nodes():
+        grad[n] = np.mean(hamiltonian(problem, ens.times[n], ens.modes[:, n], p, values[n],
+                                      u_derivative=True, state_field=state_field))
+    return grad
 
 
 # -- oracles for the linear-quadratic instance ------------------------------------

@@ -2,9 +2,11 @@
 
 The covariance is diagonal, b_k = mu_k^(-gamma), so each mode of the
 stochastic convolution is a scalar Ornstein-Uhlenbeck process.  Sampling
-uses the exact per-step OU transition (no Euler bias in law), and one
-recursion, ``ou_paths``, turns per-step increments into convolution paths
-for both ``sample_convolution`` and the sup-norm moment study.  The only
+uses the exact per-step OU transition w_{n+1} = exp(-mu dt) w_n + b sd xi
+(no Euler bias in law): ``ou_paths`` applies it to one path's increments
+for ``sample_convolution``, and the sup-norm moment study steps it over a
+block of paths at once, one node at a time, keeping only a running sup per
+path.  The only
 approximation anywhere is the mode truncation, which is exactly what the
 regularity diagnostics in this module are meant to probe.
 """
@@ -168,6 +170,10 @@ def series_condition_v(domain: SpectralDomain, noise: NoiseModel) -> dict:
 
 # -- sup-norm moment study ----------------------------------------------------
 
+# bytes of per-path normals the moment study holds at once; it steps that many paths together
+MOMENT_BLOCK_BYTES = 1 << 20
+
+
 def supnorm_moment_study(domain: SpectralDomain, noise: NoiseModel,
                          truncations: list[int], n_paths: int = 200, p: float = 2.0,
                          n_steps: int = 32, horizon: float = 1.0) -> list[dict]:
@@ -179,6 +185,13 @@ def supnorm_moment_study(domain: SpectralDomain, noise: NoiseModel,
     so growth of the estimates isolates the effect of the added modes.
     Stabilizing estimates indicate the regular regime; growth indicates
     super-threshold irregularity.
+
+    Path i draws its normals from its own stream ``(seed, "moment", i)``.
+    The paths are taken in blocks whose normals fit in
+    ``MOMENT_BLOCK_BYTES``; for each truncation the block steps the
+    Ornstein-Uhlenbeck recursion together, gathering one step's normals at
+    a time, and keeps a running sup per path, so no path or increments
+    array of the whole horizon is built.
     """
     if p < 2:
         raise ConfigurationError(f"moment order must be >= 2, got {p}")
@@ -188,21 +201,36 @@ def supnorm_moment_study(domain: SpectralDomain, noise: NoiseModel,
     d = domain.dimension
     dt = horizon / n_steps
     subdomains = {m: make_domain(d, m) for m in truncations}
+    sub_noises = {m: NoiseModel(sub, noise.gamma, noise.alpha, noise.seed)
+                  for m, sub in subdomains.items()}
 
     sups = {m: np.zeros(n_paths) for m in truncations}
     tensor_shape = (m_max,) * d
-    for i in range(n_paths):
-        rng = np.random.default_rng(seed_sequence(noise.seed, "moment", i))
-        normals = rng.standard_normal((n_steps,) + tensor_shape)
+    # blocks of two paths or more: a one-row transform takes BLAS's matrix-vector
+    # kernel, whose rows can differ in the last bit from those of a matrix product
+    size = max(2, MOMENT_BLOCK_BYTES // (8 * n_steps * m_max**d))
+    starts = list(range(0, n_paths, size))
+    if len(starts) > 1 and n_paths - starts[-1] == 1:
+        starts.pop()
+    block = np.empty((min(size + 1, n_paths), n_steps) + tensor_shape)
+    for first, stop in zip(starts, starts[1:] + [n_paths]):
+        paths = range(first, stop)
+        normals = block[:len(paths)]
+        for b, i in enumerate(paths):
+            rng = np.random.default_rng(seed_sequence(noise.seed, "moment", i))
+            normals[b] = rng.standard_normal((n_steps,) + tensor_shape)
         for m in truncations:
             sub = subdomains[m]
+            decay = np.exp(-sub.eigenvalues * dt)
             slicer = (slice(None),) + (slice(0, m),) * d
-            # tensor-layout normals gathered into the subdomain's sorted mode order
-            xi_sorted = normals[slicer].reshape(n_steps, -1)[:, sub._tensor_index]
-            sub_noise = NoiseModel(sub, noise.gamma, noise.alpha, noise.seed)
-            incr = convolution_increments(sub, sub_noise, xi_sorted, dt)
-            w = ou_paths(sub.eigenvalues, dt, incr)[1:]
-            sups[m][i] = np.max(sub.sup_norm(w))
+            w = np.zeros((len(paths), sub.n_modes))
+            sup = np.zeros(len(paths))
+            for n in range(n_steps):
+                # tensor-layout normals gathered into the subdomain's sorted mode order
+                xi = normals[:, n][slicer].reshape(len(paths), -1)[:, sub._tensor_index]
+                w = decay * w + convolution_increments(sub, sub_noises[m], xi, dt)
+                sup = np.maximum(sup, sub.sup_norm(w))
+            sups[m][first:stop] = sup
 
     rows = []
     for m in truncations:

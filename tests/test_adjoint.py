@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2
 
-from spdecontrol.adjoint import (PathwiseSpec, RegressionSpec, _StepRegressor,
+from spdecontrol.adjoint import (PathwiseAdjoint, PathwiseSpec, RegressionSpec, _StepRegressor,
                                  _default_features, adjoint_to_binary, backward_sweep,
                                  duality_residual, read_binary_adjoint, solve_adjoint_pathwise,
                                  solve_adjoint_regression, weighted_norm_report)
@@ -70,6 +70,72 @@ class TestBackwardSweep:
         with pytest.raises(InstabilityError, match="step 5") as err:
             backward_sweep(dom, ens, problem.drift, None, forcing_fn, compute_q=False)
         assert err.value.step == 5
+
+    def test_nonfinite_p_raises_before_any_lower_forcing(self, lq_ensemble):
+        problem, ens = lq_ensemble
+        calls = []
+
+        def forcing_fn(n, modes):
+            calls.append(n)
+            return np.full(modes.shape, np.nan if n == 5 else 0.0)
+
+        for spec in (RegressionSpec(), PathwiseSpec()):
+            calls.clear()
+            with pytest.raises(InstabilityError, match="non-finite in step 5$") as err:
+                backward_sweep(problem.domain, ens, problem.drift, None, forcing_fn, spec,
+                               compute_q=False)
+            assert err.value.step == 5
+            assert calls == list(range(problem.n_steps - 1, 4, -1))
+
+    def test_nonfinite_terminal_row_is_step_n_steps(self, lq_ensemble):
+        problem, ens = lq_ensemble
+        terminal = np.zeros((ens.n_paths, problem.domain.n_modes))
+        terminal[3, 2] = np.inf
+        calls = []
+        with pytest.raises(InstabilityError, match=f"non-finite in step {problem.n_steps}$") as err:
+            backward_sweep(problem.domain, ens, problem.drift, terminal,
+                           lambda n, modes: calls.append(n), compute_q=False)
+        assert err.value.step == problem.n_steps and calls == []
+
+    def test_stream_fails_at_the_step_the_collected_sweep_names(self, lq_ensemble):
+        problem, ens = lq_ensemble
+        bad_time = ens.times[7]
+        calls = []
+
+        def running_dsigma(t, s, u):
+            calls.append(t)
+            return np.full_like(s, np.nan) if t == bad_time else 2.0 * s
+
+        broken = dataclasses.replace(problem, cost=dataclasses.replace(
+            problem.cost, running_dsigma=running_dsigma))
+        for sweep in (lambda: solve_adjoint_pathwise(broken, ens),
+                      lambda: list(PathwiseAdjoint(broken, ens).nodes())):
+            calls.clear()
+            with pytest.raises(InstabilityError, match="non-finite in step 7$") as err:
+                sweep()
+            assert err.value.step == 7 and min(calls) == bad_time
+
+        broken = dataclasses.replace(problem, cost=dataclasses.replace(
+            problem.cost, terminal_dsigma=lambda s: np.full_like(s, np.nan),
+            running_dsigma=running_dsigma))
+        calls.clear()
+        with pytest.raises(InstabilityError, match=f"non-finite in step {problem.n_steps}$"):
+            next(PathwiseAdjoint(broken, ens).nodes())
+        assert calls == []
+
+    def test_later_nonfinite_p_comes_before_an_earlier_regression_error(self, lq_ensemble):
+        # collinear features at step 3 make that step's fit fail; the sweep reaches
+        # the non-finite p of step 5 first and now raises there
+        problem, ens = lq_ensemble
+        modes = ens.modes.copy()
+        modes[:, 3, 1] = 2.0 * modes[:, 3, 0]
+        collinear = dataclasses.replace(ens, modes=modes)
+        nan_at_5 = lambda n, m: np.full(m.shape, np.nan if n == 5 else 0.0)
+        with pytest.raises(RegressionError):
+            backward_sweep(problem.domain, collinear, problem.drift, None, None, compute_q=False)
+        with pytest.raises(InstabilityError, match="step 5"):
+            backward_sweep(problem.domain, collinear, problem.drift, None, nan_at_5,
+                           compute_q=False)
 
     def test_path_requirement(self, lq_ensemble):
         problem, _ = lq_ensemble

@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import spdecontrol.control as ctl
-from spdecontrol.adjoint import solve_adjoint_regression
+from spdecontrol.adjoint import PathwiseAdjoint, solve_adjoint_pathwise, solve_adjoint_regression
+from spdecontrol.cli import _run_smp_check
 from spdecontrol.control import (CATALOG, ControlProblem, CostSpec, Measure, catalog_problem,
                                  check_maximum_principle, constant_control_for,
                                  cost_of_ensemble, hamiltonian,
@@ -357,6 +359,118 @@ class TestOptimizer:
             jm = lq_exact_cost(problem, u0 - h * du)
             fd = (jp - jm) / (2 * h)
             assert fd == pytest.approx(adjoint_dir, rel=0.05)
+
+
+# reduced sizes of the three catalog problems
+REDUCED = {"lq-1d": dict(n_steps=32), "cubic-1d": dict(modes=16, n_steps=32),
+           "dirac-2d": dict(n_steps=32)}
+
+
+def stored_descent(problem, control, iterations, step_rule, n_paths, seed):
+    """The descent with a stored pathwise sweep per iteration and ``hamiltonian`` per node."""
+    trace = {"J": [], "stderr": [], "grad_norm": []}
+
+    def record(ens):
+        costs = cost_of_ensemble(problem, ens)
+        trace["J"].append(float(costs.mean()))
+        trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
+
+    values, normals = control.values.copy(), None
+    for _ in range(iterations):
+        ens = problem.ensemble(ControlProcess(values=values, space=problem.control_space),
+                               n_paths, seed, normals=normals)
+        normals = ens.normals
+        record(ens)
+        sol = solve_adjoint_pathwise(problem, ens)
+        grad = np.array([np.mean(hamiltonian(problem, ens.times[n], ens.modes[:, n],
+                                             sol.p_values[:, n], values[n], u_derivative=True))
+                         for n in range(values.size)])
+        trace["grad_norm"].append(float(np.sqrt(np.sum(grad**2) * problem.dt)))
+        values = problem.control_space.project(values - step_rule * grad)
+    record(problem.ensemble(ControlProcess(values=values, space=problem.control_space),
+                            n_paths, seed, normals=normals))
+    return values, trace
+
+
+class TestStreamedConsumers:
+    """The descent and the gap check on the streamed p~ give the stored sweep's bytes."""
+
+    @pytest.mark.parametrize("name", sorted(REDUCED))
+    def test_descent_equals_the_stored_reference(self, name):
+        problem = catalog_problem(name, seed=71, **REDUCED[name])
+        control = constant_control_for(problem, 0.1)
+        final, trace = optimize_control(problem, control, iterations=3, step_rule=0.5,
+                                        n_paths=40, seed=71)
+        values, reference = stored_descent(problem, control, 3, 0.5, 40, 71)
+        assert final.values.tobytes() == values.tobytes()
+        assert {k: trace[k] for k in reference} == reference
+
+    @pytest.mark.parametrize("name", sorted(REDUCED))
+    def test_gap_check_on_the_stream_equals_the_stored_solution(self, name):
+        problem = catalog_problem(name, seed=72, **REDUCED[name])
+        ens = problem.ensemble(constant_control_for(problem, 0.2), 40, 72)
+        streamed = check_maximum_principle(problem, PathwiseAdjoint(problem, ens))
+        stored = check_maximum_principle(problem, solve_adjoint_pathwise(problem, ens))
+        assert streamed.keys() == stored.keys()
+        assert streamed["gaps"].tobytes() == stored["gaps"].tobytes()
+        assert all(np.array_equal(streamed[k], stored[k]) for k in stored)
+
+    def test_hamiltonian_takes_the_state_field(self):
+        problem = catalog_problem("cubic-1d", seed=73, **REDUCED["cubic-1d"])
+        rng = np.random.default_rng(73)
+        modes, p = rng.standard_normal((2, 5, problem.domain.n_modes))
+        v = np.array([-0.5, 0.0, 0.7])
+        field = problem.domain.to_field(modes)
+        for u_derivative in (False, True):
+            own = hamiltonian(problem, 0.2, modes, p, v, u_derivative=u_derivative)
+            given = hamiltonian(problem, 0.2, modes, p, v, u_derivative=u_derivative,
+                                state_field=field)
+            assert own.tobytes() == given.tobytes()
+        with pytest.raises(ShapeError):
+            hamiltonian(problem, 0.2, modes, p, 0.1, state_field=field[:2])
+
+
+class TestNoPArray:
+    """The descent and the gap check keep no (P, n_steps + 1, N) p array."""
+
+    N_PATHS = 100
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def setup_problem(self):
+        # 64 steps: the per-node work of the gap check is small beside a whole p array
+        problem = catalog_problem("cubic-1d", modes=16, n_steps=64, seed=74)
+        n_steps, n_modes = problem.n_steps, problem.domain.n_modes
+        # the normals of one ensemble, and one (P, n_steps + 1, N) array: modes or p
+        return (problem, self.N_PATHS * n_steps * n_modes * 8,
+                self.N_PATHS * (n_steps + 1) * n_modes * 8)
+
+    def test_descent_holds_one_ensemble_besides_its_normals(self):
+        # a stored sweep per iteration peaks at 4.3 arrays: the last ensemble, its p and
+        # the next ensemble
+        problem, normals, array = self.setup_problem()
+        control = constant_control_for(problem, 0.1)
+        # a first small descent, untraced, pays the one-time imports and caches
+        optimize_control(problem, control, iterations=1, n_paths=4, seed=74)
+        peak = self.traced_peak(lambda: optimize_control(problem, control, iterations=3,
+                                                         n_paths=self.N_PATHS, seed=74))
+        assert (peak - normals) / array < 2.0
+
+    def test_gap_check_holds_no_p_array(self, tmp_path):
+        # on a stored sweep smp-check peaks at 1.9 p arrays above its ensemble
+        problem, normals, array = self.setup_problem()
+        _run_smp_check(problem, 74, 4, {}, {}, tmp_path)
+        peak = self.traced_peak(lambda: _run_smp_check(problem, 74, self.N_PATHS, {}, {},
+                                                       tmp_path))
+        assert (peak - normals - array) / array < 1.5
 
 
 class TestCatalogAndHelpers:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import spdecontrol.noise as noise_module
 from spdecontrol.errors import ConfigurationError
 from spdecontrol.noise import (NoiseModel, aggregate_increments, convolution_increments,
                                factorization_prefactor, factorization_reconstruct,
-                               ou_factors, sample_convolution, sample_singular_process,
+                               ou_factors, ou_paths, sample_convolution, sample_singular_process,
                                series_condition_v, supnorm_moment_study, trace_summand,
                                wiener_normals)
 from spdecontrol.rng import seed_sequence
@@ -183,6 +184,45 @@ class TestMomentStudy:
         noise = NoiseModel(dom, np.inf, 0.25, 1)
         rows = supnorm_moment_study(dom, noise, [2, 4], n_paths=10, n_steps=4)
         assert all(r["estimate"] == 0.0 for r in rows)
+
+    @staticmethod
+    def per_path_reference(domain, noise, truncations, n_paths, p, n_steps, horizon):
+        """The study one path at a time, each path's whole OU path built by ``ou_paths``."""
+        d, dt, m_max = domain.dimension, horizon / n_steps, max(truncations)
+        sups = {m: np.zeros(n_paths) for m in truncations}
+        for i in range(n_paths):
+            rng = np.random.default_rng(seed_sequence(noise.seed, "moment", i))
+            normals = rng.standard_normal((n_steps,) + (m_max,) * d)
+            for m in truncations:
+                sub = make_domain(d, m)
+                xi = normals[(slice(None),) + (slice(0, m),) * d].reshape(n_steps, -1)
+                incr = convolution_increments(sub, NoiseModel(sub, noise.gamma, noise.alpha,
+                                                              noise.seed),
+                                              xi[:, sub._tensor_index], dt)
+                sups[m][i] = np.max(sub.sup_norm(ou_paths(sub.eigenvalues, dt, incr)[1:]))
+        return [{"truncation": m ** d, "modes_per_axis": m, "paths": n_paths, "p": p,
+                 "estimate": float((sups[m] ** p).mean()),
+                 "stderr": float((sups[m] ** p).std(ddof=1) / math.sqrt(n_paths))}
+                for m in truncations]
+
+    # 1-D and 2-D on the dense transform, and 300 modes on the DST-I path
+    @pytest.mark.parametrize("dimension, modes, truncations",
+                             [(1, 32, [8, 16, 32]), (2, 8, [2, 4, 8]), (1, 300, [75, 300])],
+                             ids=["1d", "2d", "dst"])
+    @pytest.mark.parametrize("block_paths", [None, 3], ids=["default-blocks", "3-path-blocks"])
+    def test_blocked_rows_equal_the_per_path_study(self, monkeypatch, dimension, modes,
+                                                   truncations, block_paths):
+        dom = make_domain(dimension, modes)
+        noise = NoiseModel(dom, 0.5, 0.25, 23)
+        n_paths, n_steps = 10, 12
+        if block_paths is not None:
+            # 10 paths in blocks of 3; the one-path tail joins the last block
+            monkeypatch.setattr(noise_module, "MOMENT_BLOCK_BYTES",
+                                block_paths * 8 * n_steps * max(truncations) ** dimension)
+        rows = supnorm_moment_study(dom, noise, truncations, n_paths=n_paths, p=3.0,
+                                    n_steps=n_steps, horizon=0.5)
+        assert rows == self.per_path_reference(dom, noise, truncations, n_paths, 3.0,
+                                               n_steps, 0.5)
 
     def test_moment_order_guard(self):
         dom = make_domain(1, 4)
