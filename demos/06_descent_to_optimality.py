@@ -13,8 +13,8 @@ import warnings
 
 import numpy as np
 
-from spdecontrol import (catalog_problem, check_maximum_principle, lq_optimal_control,
-                         optimize_control, solve_adjoint_pathwise)
+from spdecontrol import (PathwiseAdjoint, catalog_problem, check_maximum_principle,
+                         lq_optimal_control, optimize_control)
 from spdecontrol.control import constant_control_for, lq_exact_cost
 from spdecontrol.forward import ControlProcess
 
@@ -39,7 +39,7 @@ for label, ctrl in (("descent result", final),
                                                  space=problem.control_space)),
                     ("bad constant u=0.9", constant_control_for(problem, 0.9))):
     ens = problem.ensemble(ctrl, 600, 43)
-    rep = check_maximum_principle(problem, solve_adjoint_pathwise(problem, ens))
+    rep = check_maximum_principle(problem, PathwiseAdjoint(problem, ens))
     print(f"\n{label}:")
     print(f"  min averaged Hamiltonian gap = {rep['min_gap']:+.2e} "
           f"at t={rep['argmin_t']:.2f}, v={rep['argmin_v']:+.2f}")

@@ -15,9 +15,8 @@ from .forward import (ControlProcess, StateTrajectory, EnsembleStates,
                       constant_control, simulate_ensemble,
                       trajectory_to_csv, trajectory_to_binary, read_binary_trajectory)
 from .variation import SpikeConfig, spike_order_study, cost_expansion_check
-from .adjoint import (AdjointPair, AdjointSolution, RegressionSpec,
-                      solve_adjoint_regression, solve_adjoint_pathwise, duality_residual,
-                      weighted_norm_report)
+from .adjoint import (AdjointPair, AdjointSolution, PathwiseAdjoint, RegressionSpec,
+                      solve_adjoint_regression, duality_residual, weighted_norm_report)
 from .control import (Measure, CostSpec, ControlProblem, quadratic_cost,
                       catalog_problem, hamiltonian,
                       check_maximum_principle, optimize_control,

@@ -1,4 +1,4 @@
-"""Backward equation for the adjoint pair (p, q), with or without a step regression.
+"""Backward equation for the adjoint pair (p, q), by step regression or pathwise.
 
 The backward recursion is the exact algebraic transpose of the forward
 exponential-Euler step.  ``_backward_nodes`` is its one loop, a generator
@@ -7,43 +7,42 @@ n_steps - 1 ... 0 one at a time, each with p_n, the state field it took
 for f' and what a collector needs (the step's fit, target and fitted value
 and its clip rate), and raises ``InstabilityError`` at the first node
 whose p is not finite.  The conditional expectation of each step's target
-is the only part that varies, chosen by the sweep's spec:
+is the only part that varies:
 
-- ``RegressionSpec``: least-squares Monte Carlo (Longstaff-Schwartz style),
-  a regression on basis functions of the current state's mode coefficients.
-  Its fit is the adapted p.  q is extracted from the martingale increment at
-  the same step, q_n = E[p_{n+1} (x) dW_n | F_n] / dt, and is kept in reduced
-  form.  Its fitted values are the projection U U^T q_target, with U the
-  regression's orthonormal factor; since the basis holds an intercept, the
-  ensemble mean of the fit is the plain mean of the targets, and the per-path
-  V'-norm is U_i M U_i^T with the F x F matrix M = C diag(w) C^T,
-  C = U^T (p_{n+1} (x) dW_n) / dt.  No (P, N N_K) target or fitted array is
-  built.  ``adjoint-check`` uses this sweep: its duality residual, weighted
-  norms and ``adjoint0.bin`` need the adapted p (on the pathwise p below the
-  duality identity holds path by path, so it would test nothing).
-- ``PathwiseSpec``: no fit; each path keeps its own target, which gives the
+- a ``RegressionSpec``: least-squares Monte Carlo (Longstaff-Schwartz
+  style), a regression on basis functions of the current state's mode
+  coefficients.  Its fit is the adapted p.  q is extracted from the
+  martingale increment at the same step, q_n = E[p_{n+1} (x) dW_n | F_n] / dt,
+  and is kept in reduced form.  Its fitted values are the projection
+  U U^T q_target, with U the regression's orthonormal factor; since the
+  basis holds an intercept, the ensemble mean of the fit is the plain mean
+  of the targets, and the per-path V'-norm is U_i M U_i^T with the F x F
+  matrix M = C diag(w) C^T, C = U^T (p_{n+1} (x) dW_n) / dt.  No
+  (P, N N_K) target or fitted array is built.  ``backward_sweep`` drains
+  this loop into an ``AdjointSolution`` (p on every node, the weighted p
+  integrals, the reduced q block and a diagnostics entry per step);
+  ``adjoint-check`` and ``selftest``'s duality check use it: the duality
+  residual, the weighted norms and ``adjoint0.bin`` need the adapted p (on
+  the pathwise p below the duality identity holds path by path, so it
+  would test nothing).
+- no spec: no fit; each path keeps its own target, which gives the
   pathwise recursion p~.  Controls here are deterministic, so the
   Hamiltonian gap and the control gradient use the adjoint only through
   E<p_t, G(X_t)> with G known at time t, and by the tower property that
-  expectation is the same for p~: the pathwise sweep is unbiased for them,
-  needs no basis, no path budget and no SVD, and its per-path values are
-  independent, so their spread is an honest standard error.  It has no q.
-
-Two kinds of caller take the nodes.  ``backward_sweep`` drains the loop
-into an ``AdjointSolution`` (p on every node, the weighted p integrals,
-the reduced q block and a diagnostics entry per step); ``adjoint-check``,
-``selftest`` and ``solve_adjoint_pathwise`` use it.  ``PathwiseAdjoint``
-streams p~ to a consumer one node at a time and stores nothing: the
-gradient of ``control.optimize_control`` and the gap check of
-``smp-check`` and ``optimize`` take their nodes from it, so neither builds
-a (P, n_steps + 1, N) p array, and the Hamiltonian reuses the state field
-the loop took for f'.
+  expectation is the same for p~: it is unbiased for them, needs no basis,
+  no path budget and no SVD, and its per-path values are independent, so
+  their spread is an honest standard error.  It has no q.
+  ``PathwiseAdjoint`` streams p~ to a consumer one node at a time and
+  stores nothing: the gradient of ``control.optimize_control`` and every
+  gap check of the maximum principle take their nodes from it, so none
+  builds a (P, n_steps + 1, N) p array, and the Hamiltonian reuses the
+  state field the loop took for f'.
 
 Instead of the double smoothing used in the continuous theory (semigroup
 mollification of the data plus Lipschitz regularization of the drift), the
 truncated spectral setting regularizes spatially by itself; the drift
-derivative is merely clipped at a configurable level and the activation
-rate reported.
+derivative is merely clipped at ``FPRIME_CLIP`` and the activation rate
+reported.
 """
 
 from __future__ import annotations
@@ -64,6 +63,8 @@ if TYPE_CHECKING:
 
 # a step regression past this condition number is refused
 CONDITION_LIMIT = 1e10
+# the backward step clips the drift derivative f' to [-FPRIME_CLIP, FPRIME_CLIP]
+FPRIME_CLIP = 1e3
 # fewest paths per basis function a regression is run on
 MIN_PATHS_PER_FEATURE = 10
 
@@ -76,16 +77,14 @@ class RegressionSpec:
     linear-quadratic problems, where p is affine in the state.
     ``basis_modes`` restricts the mode features to the lowest that many
     modes, which keeps the path requirement affordable on fine truncations
-    (the discarded high modes are nearly decoupled there).  ``clip``
-    bounds the drift derivative in the backward step.  The condition limit
-    and the path budget per feature are the module constants
+    (the discarded high modes are nearly decoupled there).  The condition
+    limit and the path budget per feature are the module constants
     ``CONDITION_LIMIT`` and ``MIN_PATHS_PER_FEATURE``.
     """
 
     include_modes: bool = True
     basis_modes: Optional[int] = None
     degree2: bool = False
-    clip: float = 1e3
 
     def check_paths(self, n_modes: int, n_paths: int):
         """Raise unless ``n_paths`` affords this basis on ``n_modes`` state modes."""
@@ -99,24 +98,6 @@ class RegressionSpec:
     def step(self, modes: np.ndarray) -> _StepRegressor:
         """The conditional expectation of one step, fitted on the state modes (P, N)."""
         return _StepRegressor(_default_features(modes, self))
-
-
-@dataclass(frozen=True)
-class PathwiseSpec:
-    """No conditioning: each step's target is kept per path (the pathwise p~).
-
-    ``clip`` bounds the drift derivative in the backward step, as in
-    ``RegressionSpec``.  No fit is taken, so there is no path budget and
-    no q.
-    """
-
-    clip: float = 1e3
-
-    def check_paths(self, n_modes: int, n_paths: int):
-        """A pathwise sweep runs on any number of paths."""
-
-    def step(self, modes: np.ndarray) -> _KeptTarget:
-        return _KeptTarget()
 
 
 @dataclass
@@ -162,20 +143,6 @@ class _StepRegressor:
         return {"residual_z_max": float(np.max(z))}
 
 
-class _KeptTarget:
-    """The pathwise step: the target itself, with no fit and so no residual."""
-
-    cond = 1.0
-
-    @staticmethod
-    def fit_predict(targets: np.ndarray) -> np.ndarray:
-        return targets
-
-    @staticmethod
-    def residual_report(targets: np.ndarray, fitted: np.ndarray) -> dict:
-        return {}
-
-
 def _default_features(modes: np.ndarray, spec: RegressionSpec) -> np.ndarray:
     core = modes if spec.basis_modes is None else modes[:, :spec.basis_modes]
     feats = [core] if spec.include_modes else []
@@ -190,14 +157,13 @@ def _default_features(modes: np.ndarray, spec: RegressionSpec) -> np.ndarray:
 class AdjointSolution:
     """Backward-sweep solution over a forward ensemble.
 
-    ``p_values[i, n]`` is p for path i at grid node n: the fitted
-    conditional expectation on a regression sweep, the pathwise p~ on a
-    pathwise one.  A regression sweep may keep q, in reduced form: its
-    ensemble mean per step (the mean of the regression targets p_{n+1} (x) dW_n / dt, which the
-    intercept makes equal to the mean of the fit) and the per-path weighted
-    norm integrals (U_i M U_i^T per step, from the F x F matrix M of the
-    fit's coefficients), which is what the duality and norm diagnostics
-    consume.
+    ``p_values[i, n]`` is p for path i at grid node n, the fitted
+    conditional expectation.  The sweep may keep q, in reduced form: its
+    ensemble mean per step (the mean of the regression targets
+    p_{n+1} (x) dW_n / dt, which the intercept makes equal to the mean of
+    the fit) and the per-path weighted norm integrals (U_i M U_i^T per
+    step, from the F x F matrix M of the fit's coefficients), which is what
+    the duality and norm diagnostics consume.
     """
 
     domain: SpectralDomain
@@ -232,7 +198,7 @@ class _BackwardNode(NamedTuple):
     step: int
     state_field: Optional[np.ndarray]  # to_field of the state node, taken for f' (or None)
     p: np.ndarray                      # p_n (P, N), forcing included
-    fit: _StepRegressor | _KeptTarget
+    fit: Optional[_StepRegressor]      # None on the pathwise loop
     target: np.ndarray                 # the step's target, before conditioning
     fitted: np.ndarray                 # its conditional expectation, before the forcing
     clip_rate: float
@@ -255,13 +221,15 @@ def _check_finite(p: np.ndarray, step: int):
 
 def _backward_nodes(domain: SpectralDomain, ensemble: EnsembleStates, drift,
                     p_terminal: np.ndarray, forcing_fn: Optional[Callable],
-                    spec: RegressionSpec | PathwiseSpec, fprime_active: bool = True):
+                    spec: Optional[RegressionSpec], fprime_active: bool = True):
     """The backward loop: nodes n = n_steps - 1 ... 0, yielded one at a time.
 
-    Each step conditions its target by ``spec`` and then adds the
-    F_n-measurable forcing, so only the genuinely future-measurable part is
-    conditioned.  A non-finite p_n raises ``InstabilityError`` naming step n
-    before the node is yielded, so no forcing below it is evaluated.
+    Each step conditions its target by the regression ``spec`` and then
+    adds the F_n-measurable forcing, so only the genuinely future-measurable
+    part is conditioned; with ``spec`` None each path keeps its target (p~)
+    and the node's ``fit`` is None.  A non-finite p_n raises
+    ``InstabilityError`` naming step n before the node is yielded, so no
+    forcing below it is evaluated.
     """
     modes = ensemble.modes
     decay, wdrift = _step_weights(domain, ensemble.dt)
@@ -274,11 +242,11 @@ def _backward_nodes(domain: SpectralDomain, ensemble: EnsembleStates, drift,
         if fprime_active:
             state_field = domain.to_field(state)
             mult = np.asarray(drift.f_prime(state_field, control_values[n]), dtype=float)
-            clipped = np.clip(mult, -spec.clip, spec.clip)
+            clipped = np.clip(mult, -FPRIME_CLIP, FPRIME_CLIP)
             clip_rate = float(np.mean(clipped != mult))
             target = target + domain.to_coeffs(clipped * domain.to_field(wdrift * p_next))
-        fit = spec.step(state)
-        fitted = fit.fit_predict(target)
+        fit = None if spec is None else spec.step(state)
+        fitted = target if fit is None else fit.fit_predict(target)
         p = fitted if forcing_fn is None else fitted + wdrift * forcing_fn(n, state)
         _check_finite(p, n)
         yield _BackwardNode(n, state_field, p, fit, target, fitted, clip_rate)
@@ -287,25 +255,20 @@ def _backward_nodes(domain: SpectralDomain, ensemble: EnsembleStates, drift,
 
 def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
                    terminal: Optional[np.ndarray],
-                   forcing_fn: Optional[Callable], spec: RegressionSpec | PathwiseSpec = None, *,
+                   forcing_fn: Optional[Callable], spec: RegressionSpec = None, *,
                    fprime_active: bool = True, compute_q: bool = True,
                    sobolev_s: Optional[float] = None) -> AdjointSolution:
-    """Backward pass given explicit terminal data and forcing, collected into a solution.
+    """Regression pass given explicit terminal data and forcing, collected into a solution.
 
     ``terminal`` is a (P, N) coefficient array (zero if None); ``forcing_fn``
     maps (step, state modes (P, N)) to the running-forcing coefficients.
-    ``spec`` (a ``RegressionSpec`` by default) sets how each step's target is
-    conditioned: a ``RegressionSpec`` fits it, a ``PathwiseSpec`` keeps it
-    per path and refuses ``compute_q=True``, since q needs the regression.
-    Every diagnostics entry holds the step's ``condition`` (1.0 when no fit
-    is taken) and ``clip_rate``.  A non-finite p raises ``InstabilityError``
-    at once, naming the step that produced it (the terminal row is step
-    n_steps).
+    ``spec`` (a default ``RegressionSpec`` if None) sets the basis each
+    step's target is fitted on.  Every diagnostics entry holds the step's
+    ``condition``, ``clip_rate`` and ``residual_z_max``.  A non-finite p
+    raises ``InstabilityError`` at once, naming the step that produced it
+    (the terminal row is step n_steps).
     """
     spec = spec or RegressionSpec()
-    if compute_q and isinstance(spec, PathwiseSpec):
-        raise ConfigurationError("q needs the step regression: a pathwise sweep "
-                                 "takes compute_q=False")
     modes = ensemble.modes
     n_paths, n_plus, n_modes = modes.shape
     n_steps = n_plus - 1
@@ -355,6 +318,10 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
 class PathwiseAdjoint:
     """The pathwise p~ along a forward ensemble, streamed node by node and never stored.
 
+    Same terminal datum and forcing as ``solve_adjoint_regression``, with
+    each step's target kept per path: exact for E<p_t, G(X_t)> with G known
+    at time t, which is all the Hamiltonian gap and the control gradient
+    take from the adjoint.  It has no path budget and no q.
     ``nodes()`` runs the backward loop and yields (n, state_field, p~_n), the
     state node's collocation values the loop took for f' and p~ there, so a
     consumer that evaluates the Hamiltonian transforms no state node again.
@@ -363,7 +330,6 @@ class PathwiseAdjoint:
 
     problem: ControlProblem
     ensemble: EnsembleStates
-    clip: float = 1e3
 
     def nodes(self):
         problem, ens = self.problem, self.ensemble
@@ -371,7 +337,7 @@ class PathwiseAdjoint:
         terminal, forcing_fn = _cost_data(problem, ens)
         p_terminal = _terminal_row(terminal, n_paths, n_modes, n_plus - 1)
         for node in _backward_nodes(problem.domain, ens, problem.drift, p_terminal, forcing_fn,
-                                    PathwiseSpec(clip=self.clip)):
+                                    spec=None):
             yield node.step, node.state_field, node.p
 
 
@@ -384,19 +350,9 @@ def solve_adjoint_regression(problem, ensemble: EnsembleStates,
     zeta = D_x G(X_T)* and f(t) = D_x L(t, X_t, u_t)*, taken from the
     problem's cost specification.
     """
-    return _solve(problem, ensemble, spec, compute_q=compute_q, sobolev_s=sobolev_s)
-
-
-def solve_adjoint_pathwise(problem, ensemble: EnsembleStates,
-                           clip: float = 1e3) -> AdjointSolution:
-    """The pathwise p~ for ``problem`` along a forward ensemble, stored, with no q.
-
-    Same data as ``solve_adjoint_regression``, with each step's target kept
-    per path: exact for E<p_t, G(X_t)> with G known at time t, which is all
-    the Hamiltonian gap and the control gradient take from the adjoint.
-    ``PathwiseAdjoint`` gives the same nodes without storing them.
-    """
-    return _solve(problem, ensemble, PathwiseSpec(clip=clip), compute_q=False)
+    terminal, forcing_fn = _cost_data(problem, ensemble)
+    return backward_sweep(problem.domain, ensemble, problem.drift, terminal, forcing_fn,
+                          spec, compute_q=compute_q, sobolev_s=sobolev_s)
 
 
 def _cost_data(problem, ensemble):
@@ -409,12 +365,6 @@ def _cost_data(problem, ensemble):
         return cost.running_gradient_coeffs(domain, ensemble.times[n], state_modes, u[n])
 
     return terminal, forcing_fn
-
-
-def _solve(problem, ensemble, spec, **kw) -> AdjointSolution:
-    terminal, forcing_fn = _cost_data(problem, ensemble)
-    return backward_sweep(problem.domain, ensemble, problem.drift, terminal, forcing_fn,
-                          spec, **kw)
 
 
 # -- duality -------------------------------------------------------------------

@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .adjoint import (MIN_PATHS_PER_FEATURE, PathwiseAdjoint, RegressionSpec,
                       adjoint_to_binary, diagnostics_to_json, duality_residual,
-                      solve_adjoint_pathwise, solve_adjoint_regression, weighted_norm_report)
+                      solve_adjoint_regression, weighted_norm_report)
 from .control import (CATALOG, CATALOG_OVERRIDES, ControlProblem, catalog_problem,
                       check_maximum_principle, constant_control_for, cost_of_ensemble,
                       lq_optimal_control, optimize_control, problem_from_spec)
@@ -137,7 +137,6 @@ CONFIG_SCHEMA = {
                 "paths": {"type": "integer", "minimum": 2},
                 "r_prime": {"type": "number", "exclusiveMinimum": 1, "exclusiveMaximum": 2},
                 "sobolev_s": {"type": "number"},
-                "clip": {"type": "number"},
                 "degree2_basis": {"type": "boolean"},
                 "basis_modes": {"type": "integer", "minimum": 0},
             },
@@ -352,8 +351,7 @@ def _run_cost_expansion(problem, seed, paths, num, study, out: Path) -> list[Pat
 
 def _regression_spec(num, problem, paths):
     spec = RegressionSpec(degree2=num.get("degree2_basis", False),
-                          basis_modes=num.get("basis_modes"),
-                          clip=num.get("clip", 1e3))
+                          basis_modes=num.get("basis_modes"))
     n_modes = problem.domain.n_modes
     if spec.basis_modes is None:
         # the full basis over the path budget: keep the most modes that fit
@@ -399,7 +397,7 @@ def _run_adjoint_check(problem, seed, paths, num, study, out: Path) -> list[Path
 def _run_smp_check(problem, seed, paths, num, study, out: Path) -> list[Path]:
     control = _base_control(problem, study)
     ens = problem.ensemble(control, paths, seed)
-    report = check_maximum_principle(problem, PathwiseAdjoint(problem, ens, num.get("clip", 1e3)),
+    report = check_maximum_principle(problem, PathwiseAdjoint(problem, ens),
                                      v_samples=problem.control_space.sample(
                                          study.get("v_count", 21)),
                                      tol=study.get("tol", 1e-3))
@@ -415,12 +413,11 @@ def _run_smp_check(problem, seed, paths, num, study, out: Path) -> list[Path]:
 
 
 def _run_optimize(problem, seed, paths, num, study, out: Path) -> list[Path]:
-    clip = num.get("clip", 1e3)
     control0 = _base_control(problem, study)
     final, trace = optimize_control(problem, control0,
                                     iterations=study.get("iterations", 50),
                                     step_rule=study.get("step", 0.5),
-                                    n_paths=paths, seed=seed, clip=clip)
+                                    n_paths=paths, seed=seed)
     rows = [{"iteration": i, "J": trace["J"][i], "stderr": trace["stderr"][i],
              "grad_norm": trace["grad_norm"][i] if i < len(trace["grad_norm"]) else 0.0}
             for i in range(len(trace["J"]))]
@@ -428,7 +425,7 @@ def _run_optimize(problem, seed, paths, num, study, out: Path) -> list[Path]:
     write_csv(out / "control.csv", ["step", "u"],
               [{"step": n, "u": final.values[n]} for n in range(len(final))])
 
-    report = check_maximum_principle(problem, PathwiseAdjoint(problem, trace["ensemble"], clip),
+    report = check_maximum_principle(problem, PathwiseAdjoint(problem, trace["ensemble"]),
                                      tol=study.get("tol", 1e-2))
     write_json(out / "optimize.json", {
         "J_initial": trace["J"][0], "J_final": trace["J"][-1],
@@ -480,7 +477,7 @@ def _run_selftest(problem, seed, paths, num, study, out: Path) -> list[Path]:
     oracle = lq_optimal_control(lq)
     control = ControlProcess(values=oracle["u_star"], space=lq.control_space)
     ens = lq.ensemble(control, min(paths, 500), seed)
-    report = check_maximum_principle(lq, solve_adjoint_pathwise(lq, ens))
+    report = check_maximum_principle(lq, PathwiseAdjoint(lq, ens))
     checks["smp_at_lq_optimum"] = {"pass": report["min_gap"] >= -5e-3,
                                    "value": report["min_gap"]}
 

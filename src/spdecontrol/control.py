@@ -286,16 +286,20 @@ def trapezoid_weights(n_steps: int, dt: float) -> np.ndarray:
 
 def cost_of_ensemble(problem: ControlProblem, ens: EnsembleStates) -> np.ndarray:
     """Per-path realized cost by trapezoid time quadrature."""
+    return _trapezoid_cost(problem, ens.control, ens.times, np.moveaxis(ens.modes, 1, 0))
+
+
+def _trapezoid_cost(problem: ControlProblem, control: ControlProcess, times: np.ndarray,
+                    nodes) -> np.ndarray:
+    """Per-path trapezoid cost of the (P, N) state nodes 0 ... n_steps, taken one at a time."""
     cost, domain = problem.cost, problem.domain
-    n_steps = len(ens.control)
-    w = trapezoid_weights(n_steps, ens.dt)
-    u = ens.control.values
-    total = np.zeros(ens.n_paths)
-    for n in range(n_steps + 1):
-        u_n = u[min(n, n_steps - 1)]
-        total += w[n] * cost.running_value(domain, ens.times[n], ens.modes[:, n], u_n)
-    total += cost.terminal_value(domain, ens.modes[:, -1])
-    return total
+    n_steps = len(control)
+    w = trapezoid_weights(n_steps, float(times[1] - times[0]))
+    u = control.values
+    total = 0.0
+    for n, state in enumerate(nodes):
+        total += w[n] * cost.running_value(domain, times[n], state, u[min(n, n_steps - 1)])
+    return total + cost.terminal_value(domain, state)
 
 
 # -- Hamiltonian and the maximum-principle check ---------------------------------
@@ -384,16 +388,15 @@ GRAD_TOL = 1e-10
 
 def optimize_control(problem: ControlProblem, control: ControlProcess,
                      iterations: int = 50, step_rule: float = 0.5, *, n_paths: int = 100,
-                     seed: Optional[int] = None,
-                     clip: float = 1e3) -> tuple[ControlProcess, dict]:
+                     seed: Optional[int] = None) -> tuple[ControlProcess, dict]:
     """Projected gradient descent on piecewise-constant controls, fixed step ``step_rule``.
 
     The descent direction is the adjoint-based Hamiltonian gradient
-    d_u H = d_u L + <p, d_u F>, with p the pathwise p~ (``clip`` bounds its
-    drift derivative), taken node by node from a ``PathwiseAdjoint``, so no
-    p array is built; iterations share one set of noise streams (common
-    random numbers) so the recorded costs are comparable: the normals are
-    drawn once, by the first ensemble, and every later one reuses them.
+    d_u H = d_u L + <p, d_u F>, with p the pathwise p~, taken node by node
+    from a ``PathwiseAdjoint``, so no p array is built; iterations share one
+    set of noise streams (common random numbers) so the recorded costs are
+    comparable: the normals are drawn once, by the first ensemble, and
+    every later one reuses them.
     Once the control has moved, the last ensemble is dropped, its normals
     kept, before the next is simulated.  Descent stops after ``iterations``
     steps, or early once the gradient norm falls below ``GRAD_TOL``; the
@@ -429,7 +432,7 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
         else:
             non_decreasing = 0
 
-        grad = _control_gradient(problem, ens, clip)
+        grad = _control_gradient(problem, ens)
         gnorm = float(np.sqrt(np.sum(grad**2) * dt))
         trace["grad_norm"].append(gnorm)
         if gnorm < GRAD_TOL:
@@ -444,11 +447,11 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
     return ctrl, trace
 
 
-def _control_gradient(problem: ControlProblem, ens: EnsembleStates, clip: float) -> np.ndarray:
+def _control_gradient(problem: ControlProblem, ens: EnsembleStates) -> np.ndarray:
     """Ensemble mean of d_u H at each grid node, from the streamed pathwise p~."""
     values = ens.control.values
     grad = np.empty(values.size)
-    for n, state_field, p in PathwiseAdjoint(problem, ens, clip).nodes():
+    for n, state_field, p in PathwiseAdjoint(problem, ens).nodes():
         grad[n] = np.mean(hamiltonian(problem, ens.times[n], ens.modes[:, n], p, values[n],
                                       u_derivative=True, state_field=state_field))
     return grad

@@ -10,8 +10,10 @@ first variation holds only those rows.  The order study reduces as it
 steps: it solves Y's window, then consumes the rerun node by node in
 lockstep with it and keeps only a per-path running maximum of each
 node's sup-norm of xi, Y and eta, so no rerun, xi or eta array is built.
-The cost expansion copies the base prefix into the rerun, whose full cost
-it needs.  The studies here fit the growth orders in eps of
+The cost expansion needs the rerun's full cost: it sums it node by node
+over the base nodes before the spike and then the stepped tail, so it
+builds no rerun array either; it still solves Y's whole window for every
+eps.  The studies here fit the growth orders in eps of
 
     xi  = X_spiked - X          (first-order response, O(eps)),
     Y   = solution of the linearized equation forced by the drift mismatch,
@@ -24,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .control import ControlProblem, cost_of_ensemble, trapezoid_weights
+from .control import ControlProblem, _trapezoid_cost, cost_of_ensemble, trapezoid_weights
 from .errors import ConfigurationError, GridError, InstabilityError
 from .forward import (ControlProcess, EnsembleStates, _exp_euler_nodes, linearized_modes,
                       simulate_ensemble)
@@ -84,17 +87,6 @@ def _spiked_tail(problem: ControlProblem, base: EnsembleStates,
     return _exp_euler_nodes(domain, problem.drift, spiked.values[start:], base.modes[:, start],
                             base.normals[:, start:], increment_scale(domain, problem.noise, dt),
                             dt, first_step=start)
-
-
-def _spiked_ensemble(problem: ControlProblem, base: EnsembleStates,
-                     spiked: ControlProcess, start: int) -> EnsembleStates:
-    """The full rerun: base rows ``:start`` followed by the stepped tail."""
-    modes = np.empty_like(base.modes)
-    modes[:, :start] = base.modes[:, :start]
-    for n, state in enumerate(_spiked_tail(problem, base, spiked, start), start):
-        modes[:, n] = state
-    return EnsembleStates(domain=problem.domain, times=base.times, modes=modes,
-                          normals=base.normals, control=spiked)
 
 
 def first_variation_ensemble(domain: SpectralDomain, drift, base: EnsembleStates,
@@ -248,8 +240,10 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
 
     rows = []
     for spike, spiked_control, start in spikes:
-        perturbed = _spiked_ensemble(problem, base, spiked_control, start)
-        j_spiked = cost_of_ensemble(problem, perturbed)
+        # the rerun's nodes: the base ones before the spike, then the stepped tail
+        nodes = chain(np.moveaxis(base.modes[:, :start], 1, 0),
+                      _spiked_tail(problem, base, spiked_control, start))
+        j_spiked = _trapezoid_cost(problem, spiked_control, base.times, nodes)
         delta_j = float((j_spiked - j_base).mean())
 
         y_modes = first_variation_ensemble(domain, problem.drift, base, spike)

@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2
 
-from spdecontrol.adjoint import (PathwiseAdjoint, PathwiseSpec, RegressionSpec, _StepRegressor,
-                                 _default_features, adjoint_to_binary, backward_sweep,
-                                 duality_residual, read_binary_adjoint, solve_adjoint_pathwise,
+from spdecontrol.adjoint import (PathwiseAdjoint, RegressionSpec, _StepRegressor,
+                                 _backward_nodes, _default_features, adjoint_to_binary,
+                                 backward_sweep, duality_residual, read_binary_adjoint,
                                  solve_adjoint_regression, weighted_norm_report)
 from spdecontrol.control import (catalog_problem, check_maximum_principle, constant_control_for,
                                  lq_adjoint_oracle)
@@ -79,11 +79,15 @@ class TestBackwardSweep:
             calls.append(n)
             return np.full(modes.shape, np.nan if n == 5 else 0.0)
 
-        for spec in (RegressionSpec(), PathwiseSpec()):
+        terminal = np.zeros((ens.n_paths, problem.domain.n_modes))
+        # the regression sweep, and the pathwise loop, which keeps each target
+        for sweep in (lambda: backward_sweep(problem.domain, ens, problem.drift, None,
+                                             forcing_fn, compute_q=False),
+                      lambda: list(_backward_nodes(problem.domain, ens, problem.drift, terminal,
+                                                   forcing_fn, spec=None))):
             calls.clear()
             with pytest.raises(InstabilityError, match="non-finite in step 5$") as err:
-                backward_sweep(problem.domain, ens, problem.drift, None, forcing_fn, spec,
-                               compute_q=False)
+                sweep()
             assert err.value.step == 5
             assert calls == list(range(problem.n_steps - 1, 4, -1))
 
@@ -108,7 +112,7 @@ class TestBackwardSweep:
 
         broken = dataclasses.replace(problem, cost=dataclasses.replace(
             problem.cost, running_dsigma=running_dsigma))
-        for sweep in (lambda: solve_adjoint_pathwise(broken, ens),
+        for sweep in (lambda: solve_adjoint_regression(broken, ens, compute_q=False),
                       lambda: list(PathwiseAdjoint(broken, ens).nodes())):
             calls.clear()
             with pytest.raises(InstabilityError, match="non-finite in step 7$") as err:
@@ -265,15 +269,17 @@ class TestPathwiseSweep:
         # path mean of each step's target: the two sweeps differ by rounding only
         problem, ens = lq_ensemble
         fitted = solve_adjoint_regression(problem, ens, compute_q=False)
-        pathwise = solve_adjoint_pathwise(problem, ens)
-        assert np.all(np.max(np.abs(pathwise.p_mean - fitted.p_mean), axis=1)
-                      <= 1e-12 * np.max(np.abs(fitted.p_mean), axis=1))
+        steps = []
+        for n, _, p in PathwiseAdjoint(problem, ens).nodes():
+            steps.append(n)
+            fitted_mean = fitted.p_mean[n]
+            assert (np.max(np.abs(p.mean(axis=0) - fitted_mean))
+                    <= 1e-12 * np.max(np.abs(fitted_mean)))
+        assert steps == list(range(problem.n_steps - 1, -1, -1))
         gaps_fitted = check_maximum_principle(problem, fitted)["gaps"]
-        gaps_pathwise = check_maximum_principle(problem, pathwise)["gaps"]
+        gaps_pathwise = check_maximum_principle(problem, PathwiseAdjoint(problem, ens))["gaps"]
         assert np.all(np.max(np.abs(gaps_pathwise - gaps_fitted), axis=1)
                       <= 1e-12 * np.max(np.abs(gaps_fitted), axis=1))
-        assert all(d.keys() == {"step", "condition", "clip_rate"} and d["condition"] == 1.0
-                   for d in pathwise.diagnostics)
 
     def test_per_path_stderr_matches_the_spread_over_seeds(self):
         # m_t = E<p~_t, c1>, c1 the coefficients of the constant field 1: the ensemble
@@ -285,18 +291,15 @@ class TestPathwiseSweep:
         seeds, n_paths = range(1000, 1016), 200
         means, variances = [], []
         for seed in seeds:
-            sol = solve_adjoint_pathwise(problem, problem.ensemble(control, n_paths, seed))
-            m = sol.p_values[:, :-1] @ c1          # p~ vanishes at T: no terminal cost
+            ens = problem.ensemble(control, n_paths, seed)
+            m = np.empty((n_paths, problem.n_steps))   # p~ vanishes at T: no terminal cost
+            for n, _, p in PathwiseAdjoint(problem, ens).nodes():
+                m[:, n] = p @ c1
             means.append(m.mean(axis=0))
             variances.append(m.var(axis=0, ddof=1) / n_paths)
         ratio = math.sqrt(np.var(means, axis=0, ddof=1).mean() / np.mean(variances))
         df = len(seeds) - 1
         assert math.sqrt(chi2.ppf(0.001, df) / df) < ratio < math.sqrt(chi2.ppf(0.999, df) / df)
-
-    def test_refuses_q(self, lq_ensemble):
-        problem, ens = lq_ensemble
-        with pytest.raises(ConfigurationError, match="compute_q"):
-            backward_sweep(problem.domain, ens, problem.drift, None, None, PathwiseSpec())
 
 
 def zero_control_sweep(problem, n_paths, seed, **kw):

@@ -47,10 +47,12 @@ def no_build(*args, **kwargs):
     raise AssertionError("built a problem before the configuration was checked")
 
 
-# configs the schema refuses: two keys that did nothing, and alpha and d out of range
+# configs the schema refuses: three keys that did nothing (the f' clip is the constant
+# adjoint.FPRIME_CLIP), and alpha and d out of range
 REFUSED_CHANGES = {
     "noise-seed": lambda cfg: cfg["problem"]["noise"].update(seed=3),
     "numerics-r": lambda cfg: cfg["numerics"].update(r=3.0),
+    "numerics-clip": lambda cfg: cfg["numerics"].update({'clip': 1e3}),
     "alpha-half": lambda cfg: cfg["problem"]["noise"].update(alpha=0.5),
     "dimension-0": lambda cfg: cfg["problem"]["domain"].update(dimension=0),
     "dimension-4": lambda cfg: cfg["problem"]["domain"].update(dimension=4),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spdecontrol.control as ctl
-from spdecontrol.adjoint import PathwiseAdjoint, solve_adjoint_pathwise, solve_adjoint_regression
+from spdecontrol.adjoint import AdjointSolution, PathwiseAdjoint, solve_adjoint_regression
 from spdecontrol.cli import _run_smp_check
 from spdecontrol.control import (CATALOG, ControlProblem, CostSpec, Measure, catalog_problem,
                                  check_maximum_principle, constant_control_for,
@@ -366,6 +366,17 @@ REDUCED = {"lq-1d": dict(n_steps=32), "cubic-1d": dict(modes=16, n_steps=32),
            "dirac-2d": dict(n_steps=32)}
 
 
+def collected_pathwise(problem, ens):
+    """The streamed p~ collected into an ``AdjointSolution``, which replays its rows without
+    the state fields, so every consumer transforms the state afresh."""
+    p_values = np.empty_like(ens.modes)
+    p_values[:, -1] = problem.cost.terminal_gradient_coeffs(problem.domain, ens.modes[:, -1])
+    for n, _, p in PathwiseAdjoint(problem, ens).nodes():
+        p_values[:, n] = p
+    return AdjointSolution(domain=problem.domain, times=ens.times, p_values=p_values,
+                           ensemble=ens)
+
+
 def stored_descent(problem, control, iterations, step_rule, n_paths, seed):
     """The descent with a stored pathwise sweep per iteration and ``hamiltonian`` per node."""
     trace = {"J": [], "stderr": [], "grad_norm": []}
@@ -381,7 +392,7 @@ def stored_descent(problem, control, iterations, step_rule, n_paths, seed):
                                n_paths, seed, normals=normals)
         normals = ens.normals
         record(ens)
-        sol = solve_adjoint_pathwise(problem, ens)
+        sol = collected_pathwise(problem, ens)
         grad = np.array([np.mean(hamiltonian(problem, ens.times[n], ens.modes[:, n],
                                              sol.p_values[:, n], values[n], u_derivative=True))
                          for n in range(values.size)])
@@ -410,7 +421,7 @@ class TestStreamedConsumers:
         problem = catalog_problem(name, seed=72, **REDUCED[name])
         ens = problem.ensemble(constant_control_for(problem, 0.2), 40, 72)
         streamed = check_maximum_principle(problem, PathwiseAdjoint(problem, ens))
-        stored = check_maximum_principle(problem, solve_adjoint_pathwise(problem, ens))
+        stored = check_maximum_principle(problem, collected_pathwise(problem, ens))
         assert streamed.keys() == stored.keys()
         assert streamed["gaps"].tobytes() == stored["gaps"].tobytes()
         assert all(np.array_equal(streamed[k], stored[k]) for k in stored)

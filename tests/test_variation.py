@@ -17,7 +17,7 @@ from spdecontrol.forward import constant_control, linearized_modes, simulate_ens
 from spdecontrol.noise import NoiseModel
 from spdecontrol.nonlinearity import ControlSpace, linear_drift
 from spdecontrol.spectral import make_domain
-from spdecontrol.variation import (SpikeConfig, _spike_window, _spiked_ensemble,
+from spdecontrol.variation import (SpikeConfig, _spike_window, _spiked_tail,
                                    cost_expansion_check, first_variation_ensemble, fit_loglog,
                                    spike_order_study)
 
@@ -213,10 +213,11 @@ class TestSpikeWindow:
         problem, control, base = cubic
         spiked, _ = _spike_window(control, spike, problem.horizon)
         start = int(round(spike.t0 / base.dt))
-        window = _spiked_ensemble(problem, base, spiked, start)
+        tail = np.stack(list(_spiked_tail(problem, base, spiked, start)), axis=1)
         full = problem.ensemble(spiked, base.n_paths, 41, normals=base.normals)
-        assert np.array_equal(window.modes, full.modes)
-        assert window.control is spiked and window.normals is base.normals
+        # the base nodes before the spike, then the tail, are the full rerun's nodes
+        assert np.array_equal(full.modes[:, :start], base.modes[:, :start])
+        assert np.array_equal(tail, full.modes[:, start:])
 
     @pytest.mark.parametrize("spike", SPIKES)
     def test_first_variation_equals_full_horizon_solve(self, cubic, spike):
@@ -253,7 +254,7 @@ class TestSpikeWindow:
         broken.modes[3, start, 0] = 1e7
         spiked, _ = _spike_window(control, spike, problem.horizon)
         with pytest.raises(InstabilityError, match=f"step {start}") as err:
-            _spiked_ensemble(problem, broken, spiked, start)
+            list(_spiked_tail(problem, broken, spiked, start))
         assert err.value.step == start
 
     def test_study_steps_only_after_the_spike(self, monkeypatch):
@@ -281,7 +282,8 @@ class TestSpikeWindow:
                            "linearized": [64 - start] * 3}
 
     def test_study_builds_only_the_window(self, monkeypatch):
-        # neither the full rerun nor the zero rows of Y before the spike are built
+        # the zero rows of Y before the spike are not built (nor is any rerun array: the
+        # rerun is only stepped, as the traced peaks of TestStudyReducesAsItSteps show)
         shapes = []
         first_variation = spdecontrol.variation.first_variation_ensemble
 
@@ -290,11 +292,7 @@ class TestSpikeWindow:
             shapes.append(out.shape)
             return out
 
-        def no_full_rerun(*args, **kwargs):
-            raise AssertionError("built the full spiked ensemble")
-
         monkeypatch.setattr(spdecontrol.variation, "first_variation_ensemble", recording)
-        monkeypatch.setattr(spdecontrol.variation, "_spiked_ensemble", no_full_rerun)
         problem = catalog_problem("cubic-1d", modes=16, n_steps=64, seed=42)
         spike_order_study(problem, constant_control_for(problem, 0.0), w=0.8, t0=0.5,
                           epsilons=[1 / 8, 1 / 16, 1 / 32], n_paths=8, seed=42)
@@ -307,24 +305,34 @@ class TestStudyReducesAsItSteps:
     # ascending, the order the study reports them in
     EPSILONS = {"cubic-1d": [1 / 32, 1 / 16, 1 / 8], "dirac-2d": [1 / 64, 1 / 32, 1 / 16]}
 
-    def test_peak_memory_stays_below_one_and_a_half_windows(self):
-        problem = catalog_problem("cubic-1d", modes=16, n_steps=64, seed=43)
+    N_PATHS, N_MODES, START = 64, 16, 32
+    # the base ensemble's normals and modes, and one Y window, in bytes
+    NORMALS_AND_MODES = N_PATHS * (64 + 65) * N_MODES * 8
+    Y_WINDOW = N_PATHS * (64 + 1 - START) * N_MODES * 8
+
+    def traced_peak(self, study):
+        """Peak traced bytes of ``study`` on cubic-1d, 16 modes, 64 steps, 64 paths."""
+        problem = catalog_problem("cubic-1d", modes=self.N_MODES, n_steps=64, seed=43)
         control = constant_control_for(problem, 0.0)
-        n_paths, n_modes, start = 64, 16, 32
+        kw = dict(w=0.8, t0=0.5, epsilons=self.EPSILONS["cubic-1d"], seed=43)
         # a first small study, untraced, pays the one-time imports and caches
-        spike_order_study(problem, control, w=0.8, t0=0.5, epsilons=self.EPSILONS["cubic-1d"],
-                          n_paths=2, seed=43)
+        study(problem, control, n_paths=2, **kw)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            spike_order_study(problem, control, w=0.8, t0=0.5, epsilons=self.EPSILONS["cubic-1d"],
-                              n_paths=n_paths, seed=43)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            study(problem, control, n_paths=self.N_PATHS, **kw)
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        normals_and_modes = n_paths * (64 + 65) * n_modes * 8
-        y_window = n_paths * (64 + 1 - start) * n_modes * 8
-        assert peak - normals_and_modes < 1.5 * y_window
+
+    def test_peak_memory_stays_below_one_and_a_half_windows(self):
+        peak = self.traced_peak(spike_order_study)
+        assert peak - self.NORMALS_AND_MODES < 1.5 * self.Y_WINDOW
+
+    def test_cost_expansion_builds_no_rerun_array(self):
+        # a full (P, n_steps + 1, N) rerun per epsilon peaks at over five Y windows
+        peak = self.traced_peak(cost_expansion_check)
+        assert peak - self.NORMALS_AND_MODES < 3.5 * self.Y_WINDOW
 
     @pytest.mark.parametrize("name", ["cubic-1d", "dirac-2d"])
     def test_rows_and_slopes_equal_the_materialized_reference(self, name):
