@@ -406,14 +406,15 @@ def duality_residual(problem, solution: AdjointSolution, forcing_gamma=None,
         e = np.diag(np.asarray(forcing_eta, dtype=float))
         lhs += float(np.einsum("nkj,kj->", solution.mean_q, e) * dt)
 
+    # y's nodes 0 ... n_steps - 1 pair with f_n as they come; the last, y(T), with zeta
     cost = problem.cost
     rhs_paths = np.zeros(n_paths)
-    for n in range(n_steps):
+    for n, y_n in zip(range(n_steps), y):
         f_n = cost.running_gradient_coeffs(domain, ens.times[n], ens.modes[:, n],
                                            control.values[n])
-        rhs_paths += np.sum(f_n * y[:, n], axis=1) * dt
+        rhs_paths += np.sum(f_n * y_n, axis=1) * dt
     zeta = cost.terminal_gradient_coeffs(domain, ens.modes[:, -1])
-    rhs_paths += np.sum(zeta * y[:, -1], axis=1)
+    rhs_paths += np.sum(zeta * next(y), axis=1)
     rhs = float(rhs_paths.mean())
 
     residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-12)

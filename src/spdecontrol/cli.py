@@ -149,7 +149,8 @@ CONFIG_SCHEMA = {
                 "control": {"enum": ["zero", "constant", "lq-oracle"]},
                 "truncations": {"type": "array", "items": {"type": "integer", "minimum": 1}},
                 "moment_order": {"type": "number", "minimum": 2},
-                "epsilons": {"type": "array", "items": {"type": "number"}},
+                "epsilons": {"type": "array", "minItems": 3,
+                             "items": {"type": "number", "exclusiveMinimum": 0}},
                 "spike_t0": {"type": "number"},
                 "spike_w": {"type": "number"},
                 "iterations": {"type": "integer", "minimum": 1},

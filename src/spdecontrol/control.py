@@ -286,20 +286,15 @@ def trapezoid_weights(n_steps: int, dt: float) -> np.ndarray:
 
 def cost_of_ensemble(problem: ControlProblem, ens: EnsembleStates) -> np.ndarray:
     """Per-path realized cost by trapezoid time quadrature."""
-    return _trapezoid_cost(problem, ens.control, ens.times, np.moveaxis(ens.modes, 1, 0))
-
-
-def _trapezoid_cost(problem: ControlProblem, control: ControlProcess, times: np.ndarray,
-                    nodes) -> np.ndarray:
-    """Per-path trapezoid cost of the (P, N) state nodes 0 ... n_steps, taken one at a time."""
     cost, domain = problem.cost, problem.domain
-    n_steps = len(control)
-    w = trapezoid_weights(n_steps, float(times[1] - times[0]))
-    u = control.values
+    n_steps = len(ens.control)
+    w = trapezoid_weights(n_steps, ens.dt)
+    u = ens.control.values
     total = 0.0
-    for n, state in enumerate(nodes):
-        total += w[n] * cost.running_value(domain, times[n], state, u[min(n, n_steps - 1)])
-    return total + cost.terminal_value(domain, state)
+    for n in range(n_steps + 1):
+        total += w[n] * cost.running_value(domain, ens.times[n], ens.modes[:, n],
+                                           u[min(n, n_steps - 1)])
+    return total + cost.terminal_value(domain, ens.modes[:, -1])
 
 
 # -- Hamiltonian and the maximum-principle check ---------------------------------

@@ -19,7 +19,8 @@ the nodes of their reruns one at a time, from the base states at the
 spike start with the base normals from there on.  ``linearized_modes``
 solves the linearized equation with a forcing gamma and a diagonal noise
 coefficient eta along a batch of base paths, reusing their normals, which
-is what the spike-variation and duality machinery need.
+is what the spike-variation and duality machinery need; like the stepper
+it yields checked nodes one at a time, so its consumers build no array.
 """
 
 from __future__ import annotations
@@ -189,17 +190,18 @@ def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: Nois
 
 def linearized_modes(domain: SpectralDomain, drift: NemytskiiDrift,
                      base_modes: np.ndarray, normals, control_values: np.ndarray,
-                     dt: float, gamma_fn=None, forcing_eta=None) -> np.ndarray:
-    """Vectorized linearized dynamics along a batch of base paths.
+                     dt: float, gamma_fn=None, forcing_eta=None, first_step: int = 0):
+    """Linearized dynamics along a batch of base paths, yielded one grid node at a time.
 
     Solves dy = [A y + f'(X_t, u_t) y + gamma] dt + eta dW with y(0) = 0 for
     ``base_modes`` of shape (P, n_steps + 1, N): the multiplication
     coefficient is frozen per step at the base state, ``gamma_fn(n,
     base_step_modes) -> (P, N)`` (or a broadcastable (N,)) supplies the
     forcing in mode coefficients, and the diagonal ``forcing_eta`` (N,)
-    scales the base path's own ``normals`` (shared noise).  Returns modes
-    (P, n_steps + 1, N).  A non-finite solution raises ``InstabilityError``
-    naming the first step that produced one (checked once, after the loop).
+    scales the base path's own ``normals`` (shared noise).  Returns a stream
+    of the (P, N) nodes 0 ... n_steps from the zero start; the arguments are
+    checked at the call, and a non-finite node raises ``InstabilityError``
+    naming the step that produced it, counted from ``first_step``.
     """
     n_paths, n_plus, n_modes = base_modes.shape
     n_steps = n_plus - 1
@@ -215,24 +217,25 @@ def linearized_modes(domain: SpectralDomain, drift: NemytskiiDrift,
 
     decay, wdrift = _step_weights(domain, dt)
     _, sd = ou_factors(domain.eigenvalues, dt)
-    out = np.zeros((n_paths, n_steps + 1, n_modes))
-    y = np.zeros((n_paths, n_modes))
-    for n in range(n_steps):
-        forcing = np.zeros((n_paths, n_modes))
-        if gamma_fn is not None:
-            forcing += gamma_fn(n, base_modes[:, n])
-        mult = drift.f_prime(domain.to_field(base_modes[:, n]), control_values[n])
-        forcing += domain.to_coeffs(mult * domain.to_field(y))
-        y = decay * y + wdrift * forcing
-        if forcing_eta is not None:
-            y += forcing_eta * sd * normals[:, n]
-        out[:, n + 1] = y
-    if not np.isfinite(out).all():
-        # row n + 1 is the result of step n, which read base_modes[:, n]
-        step = int(np.argmin(np.isfinite(out).all(axis=(0, 2)))) - 1
-        raise InstabilityError(f"linearized solution turned non-finite in step {step}",
-                               step=step)
-    return out
+
+    def nodes():
+        y = np.zeros((n_paths, n_modes))
+        yield y
+        for n in range(n_steps):
+            forcing = np.zeros((n_paths, n_modes))
+            if gamma_fn is not None:
+                forcing += gamma_fn(n, base_modes[:, n])
+            mult = drift.f_prime(domain.to_field(base_modes[:, n]), control_values[n])
+            forcing += domain.to_coeffs(mult * domain.to_field(y))
+            y = decay * y + wdrift * forcing
+            if forcing_eta is not None:
+                y += forcing_eta * sd * normals[:, n]
+            if not np.isfinite(y).all():
+                raise InstabilityError("linearized solution turned non-finite in step "
+                                       f"{first_step + n}", step=first_step + n)
+            yield y
+
+    return nodes()
 
 
 def weight_cell_integrals(horizon: float, n_steps: int, exponent: float) -> np.ndarray:

@@ -5,15 +5,12 @@ perturbed state is rerun with the identical noise path (the ensemble
 stepper driven by the base ensemble's normals), so the pathwise
 differences isolate the control effect.  Before t0 the spiked rerun equals
 the base bit for bit and the first variation is exactly zero, so both are
-stepped from the spike start only, on the base's noise, and the ensemble
-first variation holds only those rows.  The order study reduces as it
-steps: it solves Y's window, then consumes the rerun node by node in
-lockstep with it and keeps only a per-path running maximum of each
-node's sup-norm of xi, Y and eta, so no rerun, xi or eta array is built.
-The cost expansion needs the rerun's full cost: it sums it node by node
-over the base nodes before the spike and then the stepped tail, so it
-builds no rerun array either; it still solves Y's whole window for every
-eps.  The studies here fit the growth orders in eps of
+streamed from the spike start only, on the base's noise.  Each study
+walks a spike once, the rerun's node and then Y's at every node: the
+order study keeps per-path running maxima of the sup-norms of xi, Y and
+eta, the cost expansion sums the cost difference and the first-order
+term, and no rerun, Y, xi or eta array is built.  They fit the orders in
+eps of
 
     xi  = X_spiked - X          (first-order response, O(eps)),
     Y   = solution of the linearized equation forced by the drift mismatch,
@@ -26,16 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .control import ControlProblem, _trapezoid_cost, cost_of_ensemble, trapezoid_weights
-from .errors import ConfigurationError, GridError, InstabilityError
+from .control import ControlProblem, trapezoid_weights
+from .errors import ConfigurationError, GridError
 from .forward import (ControlProcess, EnsembleStates, _exp_euler_nodes, linearized_modes,
                       simulate_ensemble)
 from .noise import increment_scale
 from .spectral import SpectralDomain
+
+# fit_loglog drops the smallest epsilon above this Monte Carlo relative standard error
+DROP_REL_STDERR = 0.25
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,13 @@ def _spiked_tail(problem: ControlProblem, base: EnsembleStates,
 
 
 def first_variation_ensemble(domain: SpectralDomain, drift, base: EnsembleStates,
-                             spike: SpikeConfig) -> np.ndarray:
-    """Y along every base path from the spike start on, shape (P, n_steps + 1 - start, N).
+                             spike: SpikeConfig):
+    """Y along every base path, the stream of its (P, N) nodes start ... n_steps.
 
-    Row ``i`` is grid node ``start + i``; Y is exactly zero before the
-    spike start, so those rows are not built.  The forcing is the drift
-    mismatch and has no noise term.
+    Y is exactly zero before the spike start, so those nodes are not
+    stepped.  The spike window is checked at the call; a non-finite node
+    raises ``InstabilityError`` naming its absolute step.  The forcing is
+    the drift mismatch and has no noise term.
     """
     control = base.control
     spiked, start = _spike_window(control, spike, float(base.times[-1]))
@@ -109,20 +109,23 @@ def first_variation_ensemble(domain: SpectralDomain, drift, base: EnsembleStates
         return domain.to_coeffs(drift.f(fields, spiked_values[n])
                                 - drift.f(fields, base_values[n]))
 
-    try:
-        return linearized_modes(domain, drift, base.modes[:, start:], None, base_values,
-                                base.dt, gamma_fn=gamma_fn)
-    except InstabilityError as err:
-        step = start + err.step
-        raise InstabilityError(f"first variation turned non-finite in step {step}",
-                               step=step) from err
+    return linearized_modes(domain, drift, base.modes[:, start:], None, base_values, base.dt,
+                            gamma_fn=gamma_fn, first_step=start)
 
 
-def fit_loglog(epsilons, estimates, stderrs=None, drop_rel_stderr: float = 0.25):
+def _spike_walk(problem: ControlProblem, base: EnsembleStates, spike: SpikeConfig,
+                spiked: ControlProcess, start: int):
+    """(n, rerun node, Y node) for n = start ... n_steps; the rerun's node is drawn first,
+    so when both fail the earlier node's failure is raised (the rerun's on a tie)."""
+    ys = first_variation_ensemble(problem.domain, problem.drift, base, spike)
+    yield from zip(range(start, len(spiked) + 1), _spiked_tail(problem, base, spiked, start), ys)
+
+
+def fit_loglog(epsilons, estimates, stderrs=None):
     """Least-squares slope of log(estimate) vs log(epsilon).
 
     The smallest epsilon is dropped when its Monte Carlo relative standard
-    error exceeds ``drop_rel_stderr`` (variance dominates bias there).
+    error exceeds ``DROP_REL_STDERR`` (variance dominates bias there).
     A fit that cannot be made returns NaNs and a ``"reason"``.
     """
     eps = np.asarray(epsilons, dtype=float)
@@ -130,7 +133,7 @@ def fit_loglog(epsilons, estimates, stderrs=None, drop_rel_stderr: float = 0.25)
     keep = np.ones(eps.size, dtype=bool)
     if stderrs is not None and eps.size > 2:
         smallest = int(np.argmin(eps))
-        if vals[smallest] <= 0 or stderrs[smallest] / max(vals[smallest], 1e-300) > drop_rel_stderr:
+        if vals[smallest] <= 0 or stderrs[smallest] / max(vals[smallest], 1e-300) > DROP_REL_STDERR:
             keep[smallest] = False
     bad = keep & ~(vals > 0)
     reason = None
@@ -176,19 +179,16 @@ def _spike_sup_norms(problem: ControlProblem, base: EnsembleStates, spike: Spike
                      spiked: ControlProcess, start: int):
     """Per-path sup-norms over time and space of xi, Y and eta for one spike.
 
-    All three are exactly zero before the spike.  Y's window is solved
-    first, so when both fail its ``InstabilityError`` is the one raised;
-    the rerun's tail is then stepped in lockstep with it, and each node
+    All three are exactly zero before the spike.  Each node of the walk
     only updates a running maximum, which is exact.
     """
     domain = problem.domain
-    y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
     sup_xi, sup_y, sup_eta = (np.zeros(base.n_paths) for _ in range(3))
-    for i, state in enumerate(_spiked_tail(problem, base, spiked, start)):
-        xi = state - base.modes[:, start + i]
+    for n, state, y in _spike_walk(problem, base, spike, spiked, start):
+        xi = state - base.modes[:, n]
         np.maximum(sup_xi, domain.sup_norm(xi), out=sup_xi)
-        np.maximum(sup_y, domain.sup_norm(y_modes[:, i]), out=sup_y)
-        np.maximum(sup_eta, domain.sup_norm(xi - y_modes[:, i]), out=sup_eta)
+        np.maximum(sup_y, domain.sup_norm(y), out=sup_y)
+        np.maximum(sup_eta, domain.sup_norm(xi - y), out=sup_eta)
     return sup_xi, sup_y, sup_eta
 
 
@@ -229,36 +229,34 @@ def cost_expansion_check(problem: ControlProblem, control: ControlProcess,
 
     R(eps) = |J(u^eps) - J(u) - first-order term| with the first-order term
     E int [delta L + D_x L . Y] dt + E[D_x G(X_T) Y_T], all under common
-    random numbers; its log-log slope should exceed 1.
+    random numbers; its log-log slope should exceed 1.  Both vanish before
+    the spike, so they are summed from its start in one walk of the spike.
     """
     epsilons, spikes, base = _spike_study_setup(problem, control, w, t0, epsilons,
                                                 n_paths, seed)
     domain, cost = problem.domain, problem.cost
     n_steps = len(control)
-    j_base = cost_of_ensemble(problem, base)
     wq = trapezoid_weights(n_steps, base.dt)
 
     rows = []
     for spike, spiked_control, start in spikes:
-        # the rerun's nodes: the base ones before the spike, then the stepped tail
-        nodes = chain(np.moveaxis(base.modes[:, :start], 1, 0),
-                      _spiked_tail(problem, base, spiked_control, start))
-        j_spiked = _trapezoid_cost(problem, spiked_control, base.times, nodes)
-        delta_j = float((j_spiked - j_base).mean())
-
-        y_modes = first_variation_ensemble(domain, problem.drift, base, spike)
+        delta_paths = np.zeros(base.n_paths)
         first_order = np.zeros(base.n_paths)
-        for n in range(start, n_steps + 1):     # Y and delta L vanish before the spike
+        for n, state, y in _spike_walk(problem, base, spike, spiked_control, start):
+            t_n, x_n = base.times[n], base.modes[:, n]
             u_n = control.values[min(n, n_steps - 1)]
             ue_n = spiked_control.values[min(n, n_steps - 1)]
+            l_n = cost.running_value(domain, t_n, x_n, u_n)
+            delta_paths += wq[n] * (cost.running_value(domain, t_n, state, ue_n) - l_n)
             if ue_n != u_n:
-                first_order += wq[n] * (
-                    cost.running_value(domain, base.times[n], base.modes[:, n], ue_n)
-                    - cost.running_value(domain, base.times[n], base.modes[:, n], u_n))
-            dl = cost.running_gradient_coeffs(domain, base.times[n], base.modes[:, n], u_n)
-            first_order += wq[n] * np.sum(dl * y_modes[:, n - start], axis=1)
-        dg = cost.terminal_gradient_coeffs(domain, base.modes[:, -1])
-        first_order += np.sum(dg * y_modes[:, -1], axis=1)
+                first_order += wq[n] * (cost.running_value(domain, t_n, x_n, ue_n) - l_n)
+            dl = cost.running_gradient_coeffs(domain, t_n, x_n, u_n)
+            first_order += wq[n] * np.sum(dl * y, axis=1)
+        # the walk ends on node n_steps: state, x_n and y are the terminal nodes
+        delta_paths += cost.terminal_value(domain, state) - cost.terminal_value(domain, x_n)
+        delta_j = float(delta_paths.mean())
+        dg = cost.terminal_gradient_coeffs(domain, x_n)
+        first_order += np.sum(dg * y, axis=1)
 
         residual = abs(delta_j - float(first_order.mean()))
         rows.append({"epsilon": spike.epsilon, "delta_j": delta_j,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,24 @@ class TestDuality:
         sol.ensemble = None
         with pytest.raises(ConfigurationError, match="forward ensemble"):
             duality_residual(problem, sol, forcing_gamma=np.ones(problem.domain.n_modes))
+
+
+    @pytest.mark.parametrize("forcing", ["gamma", "eta"])
+    def test_pairing_builds_no_y_array(self, forcing):
+        # y is paired with f and zeta node by node as it is stepped
+        problem = catalog_problem("lq-1d", modes=16, n_steps=64, seed=53)
+        sol = zero_control_sweep(problem, 200, 53)
+        kw = ({"forcing_gamma": np.ones(problem.domain.n_modes)} if forcing == "gamma"
+              else {"forcing_eta": problem.noise.b_coeffs})
+        duality_residual(problem, sol, **kw)    # a first call pays the one-time caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            duality_residual(problem, sol, **kw)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 200 * (64 + 1) * 16 * 8
 
 
 class TestWeightedNorms:

@@ -71,6 +71,10 @@ REFUSED_OVERRIDES = {
     "modes-8.9": ({"problem": "lq-1d", "overrides": {"modes": 8.9}}, "overrides/modes"),
     "modes-0": ({"problem": "lq-1d", "overrides": {"modes": 0}}, "overrides/modes"),
     "horizon-0": ({"problem": "lq-1d", "overrides": {"horizon": 0}}, "overrides/horizon"),
+    "epsilon-negative": ({"problem": "lq-1d", "study": {"epsilons": [0.125, 0.0625, -0.03125]}},
+                         "study/epsilons/2"),
+    "two-epsilons": ({"problem": "lq-1d", "study": {"epsilons": [0.125, 0.0625]}},
+                     "study/epsilons"),
 }
 
 

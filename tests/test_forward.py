@@ -203,10 +203,14 @@ class TestAuxiliary:
         return dom, noise, base
 
     @staticmethod
-    def _solve(dom, drift, base, gamma=None, eta=None):
+    def _stream(dom, drift, base, gamma=None, eta=None):
         gamma_fn = None if gamma is None else (lambda n, _: gamma)
         return linearized_modes(dom, drift, base.modes, base.normals, base.control.values,
                                 base.dt, gamma_fn=gamma_fn, forcing_eta=eta)
+
+    def _solve(self, *args, **kwargs):
+        """The stream's nodes collected into modes of shape (P, n_steps + 1, N)."""
+        return np.stack(list(self._stream(*args, **kwargs)), axis=1)
 
     def test_zero_forcings_zero_solution(self):
         dom, _, base = self._base(cubic_drift())
@@ -243,17 +247,21 @@ class TestAuxiliary:
         assert np.max(np.abs(y12 - y1 - y2)) < 1e-12
 
     def test_eta_must_be_diagonal(self):
+        # raised at the call, before any node is drawn
         dom, _, base = self._base(ZERO_DRIFT, modes=4)
         with pytest.raises(ShapeError):
-            self._solve(dom, ZERO_DRIFT, base, eta=np.eye(4))
+            self._stream(dom, ZERO_DRIFT, base, eta=np.eye(4))
 
     def test_nonfinite_solution_names_step(self):
         dom, _, base = self._base(cubic_drift())
         base.modes = base.modes.copy()
         base.modes[1, 5, 2] = np.nan
+        nodes = []
         with pytest.raises(InstabilityError, match="step 5") as err:
-            self._solve(dom, cubic_drift(), base, gamma=np.ones(dom.n_modes))
-        assert err.value.step == 5
+            for node in self._stream(dom, cubic_drift(), base, gamma=np.ones(dom.n_modes)):
+                nodes.append(node)
+        # step 5 reads base node 5 and produces node 6, which is never yielded
+        assert err.value.step == 5 and len(nodes) == 6
 
 
 class TestForwardBound:

@@ -11,13 +11,13 @@ import pytest
 
 import spdecontrol.forward
 import spdecontrol.variation
-from spdecontrol.control import catalog_problem, constant_control_for
+from spdecontrol.control import catalog_problem, constant_control_for, cost_of_ensemble
 from spdecontrol.errors import ConfigurationError, GridError, InstabilityError
 from spdecontrol.forward import constant_control, linearized_modes, simulate_ensemble
 from spdecontrol.noise import NoiseModel
 from spdecontrol.nonlinearity import ControlSpace, linear_drift
 from spdecontrol.spectral import make_domain
-from spdecontrol.variation import (SpikeConfig, _spike_window, _spiked_tail,
+from spdecontrol.variation import (SpikeConfig, _spike_sup_norms, _spike_window, _spiked_tail,
                                    cost_expansion_check, first_variation_ensemble, fit_loglog,
                                    spike_order_study)
 
@@ -66,6 +66,11 @@ def _linear_base(n_steps=128, modes=16, seed=4, u0=0.0, n_paths=2):
     return dom, base
 
 
+def _collect(nodes):
+    """The (P, N) nodes of a linearized stream stacked into shape (P, n_nodes, N)."""
+    return np.stack(list(nodes), axis=1)
+
+
 def _full_horizon(y, base):
     """First-variation rows from the spike start on, zero-padded to every grid node."""
     out = np.zeros(base.modes.shape)
@@ -76,7 +81,8 @@ def _full_horizon(y, base):
 class TestFirstVariation:
     def test_noop_spike_gives_zero(self):
         dom, base = _linear_base()
-        y = first_variation_ensemble(dom, linear_drift(), base, SpikeConfig(0.5, 0.125, 0.0))
+        y = _collect(first_variation_ensemble(dom, linear_drift(), base,
+                                              SpikeConfig(0.5, 0.125, 0.0)))
         assert np.all(y == 0.0)
 
     def test_linear_drift_closed_form(self):
@@ -97,7 +103,8 @@ class TestFirstVariation:
         errs = []
         for n_steps in (64, 128):
             dom, base = _linear_base(n_steps=n_steps)
-            y = first_variation_ensemble(dom, linear_drift(), base, SpikeConfig(t0, eps, w))
+            y = _collect(first_variation_ensemble(dom, linear_drift(), base,
+                                                  SpikeConfig(t0, eps, w)))
             nu = dom.eigenvalues + 1.0
             integral = (np.exp(-nu * (1.0 - (t0 + eps))) - np.exp(-nu * (1.0 - t0))) / nu
             expected = w * dom.ones_coeffs() * integral
@@ -107,15 +114,19 @@ class TestFirstVariation:
 
     def test_linearity_in_control_bump(self):
         dom, base = _linear_base()
-        y1 = first_variation_ensemble(dom, linear_drift(), base, SpikeConfig(0.5, 0.125, 0.4))
-        y2 = first_variation_ensemble(dom, linear_drift(), base, SpikeConfig(0.5, 0.125, 0.8))
+        y1 = _collect(first_variation_ensemble(dom, linear_drift(), base,
+                                               SpikeConfig(0.5, 0.125, 0.4)))
+        y2 = _collect(first_variation_ensemble(dom, linear_drift(), base,
+                                               SpikeConfig(0.5, 0.125, 0.8)))
         assert np.allclose(2.0 * y1, y2, atol=1e-13)
 
     def test_disjoint_spike_superposition(self):
         dom, base = _linear_base()
         s1, s2 = SpikeConfig(0.25, 0.0625, 0.5), SpikeConfig(0.625, 0.0625, 0.5)
-        y1 = _full_horizon(first_variation_ensemble(dom, linear_drift(), base, s1), base)
-        y2 = _full_horizon(first_variation_ensemble(dom, linear_drift(), base, s2), base)
+        y1 = _full_horizon(_collect(first_variation_ensemble(dom, linear_drift(), base, s1)),
+                           base)
+        y2 = _full_horizon(_collect(first_variation_ensemble(dom, linear_drift(), base, s2)),
+                           base)
         ctrl = base.control
         both = _spike_window(_spike_window(ctrl, s1, 1.0)[0], s2, 1.0)[0]
 
@@ -125,8 +136,8 @@ class TestFirstVariation:
             diff = linear_drift().f(fields, both.values[n]) - linear_drift().f(fields, ctrl.values[n])
             return dom.to_coeffs(diff)
 
-        y12 = linearized_modes(dom, linear_drift(), base.modes, base.normals, ctrl.values,
-                               base.dt, gamma_fn=gamma_fn)
+        y12 = _collect(linearized_modes(dom, linear_drift(), base.modes, base.normals,
+                                        ctrl.values, base.dt, gamma_fn=gamma_fn))
         assert np.max(np.abs(y12 - y1 - y2)) < 1e-13
 
 
@@ -232,10 +243,10 @@ class TestSpikeWindow:
             return dom.to_coeffs(drift.f(fields, spiked.values[n])
                                  - drift.f(fields, control.values[n]))
 
-        reference = linearized_modes(dom, drift, base.modes, base.normals, control.values,
-                                     base.dt, gamma_fn=gamma_fn)
-        # only the rows from the spike start on are returned; the full solve is zero before it
-        y = first_variation_ensemble(dom, drift, base, spike)
+        reference = _collect(linearized_modes(dom, drift, base.modes, base.normals,
+                                              control.values, base.dt, gamma_fn=gamma_fn))
+        # only the nodes from the spike start on are yielded; the full solve is zero before it
+        y = _collect(first_variation_ensemble(dom, drift, base, spike))
         start = int(round(spike.t0 / base.dt))
         assert y.shape == (base.n_paths, base.modes.shape[1] - start, dom.n_modes)
         assert np.array_equal(y, reference[:, start:]) and np.all(reference[:, :start] == 0.0)
@@ -249,13 +260,28 @@ class TestSpikeWindow:
         broken.modes = base.modes.copy()
         broken.modes[3, start + 4, 0] = np.nan
         with pytest.raises(InstabilityError, match=f"step {start + 4}") as err:
-            first_variation_ensemble(problem.domain, problem.drift, broken, spike)
+            list(first_variation_ensemble(problem.domain, problem.drift, broken, spike))
         assert err.value.step == start + 4
         broken.modes[3, start, 0] = 1e7
         spiked, _ = _spike_window(control, spike, problem.horizon)
         with pytest.raises(InstabilityError, match=f"step {start}") as err:
             list(_spiked_tail(problem, broken, spiked, start))
         assert err.value.step == start
+
+    def test_the_earlier_failure_is_raised(self, cubic):
+        # a huge normal blows the rerun up at node start + 3; Y fails at a later node, then
+        # at an earlier one, and whichever failure comes at the earlier node is raised
+        problem, control, base = cubic
+        spike = self.SPIKES[0]
+        spiked, start = _spike_window(control, spike, problem.horizon)
+        broken = copy.copy(base)
+        broken.modes, broken.normals = base.modes.copy(), base.normals.copy()
+        broken.normals[3, start + 2, 0] = 1e9
+        for y_step, raised in ((start + 6, start + 3), (start + 1, start + 1)):
+            broken.modes[3, y_step, 0] = np.nan
+            with pytest.raises(InstabilityError) as err:
+                _spike_sup_norms(problem, broken, spike, spiked, start)
+            assert err.value.step == raised
 
     def test_study_steps_only_after_the_spike(self, monkeypatch):
         # the base is stepped once over the horizon, every epsilon only from the spike on
@@ -282,21 +308,23 @@ class TestSpikeWindow:
                            "linearized": [64 - start] * 3}
 
     def test_study_builds_only_the_window(self, monkeypatch):
-        # the zero rows of Y before the spike are not built (nor is any rerun array: the
-        # rerun is only stepped, as the traced peaks of TestStudyReducesAsItSteps show)
+        # the zero nodes of Y before the spike are not stepped (nor is any Y or rerun array
+        # built: both are streamed, as the traced peaks of TestStudyReducesAsItSteps show)
         shapes = []
         first_variation = spdecontrol.variation.first_variation_ensemble
 
         def recording(*args, **kwargs):
-            out = first_variation(*args, **kwargs)
-            shapes.append(out.shape)
-            return out
+            nodes = []
+            shapes.append(nodes)
+            for node in first_variation(*args, **kwargs):
+                nodes.append(node.shape)
+                yield node
 
         monkeypatch.setattr(spdecontrol.variation, "first_variation_ensemble", recording)
         problem = catalog_problem("cubic-1d", modes=16, n_steps=64, seed=42)
         spike_order_study(problem, constant_control_for(problem, 0.0), w=0.8, t0=0.5,
                           epsilons=[1 / 8, 1 / 16, 1 / 32], n_paths=8, seed=42)
-        assert shapes == [(8, 64 + 1 - 32, 16)] * 3
+        assert shapes == [[(8, 16)] * (64 + 1 - 32)] * 3
 
 
 class TestStudyReducesAsItSteps:
@@ -334,6 +362,13 @@ class TestStudyReducesAsItSteps:
         peak = self.traced_peak(cost_expansion_check)
         assert peak - self.NORMALS_AND_MODES < 3.5 * self.Y_WINDOW
 
+    @pytest.mark.parametrize("study", [spike_order_study, cost_expansion_check],
+                             ids=["spike_order_study", "cost_expansion_check"])
+    def test_peak_stays_below_three_quarters_of_a_window(self, study):
+        # Y is streamed like the rerun; a Y window built per epsilon alone reads one window
+        peak = self.traced_peak(study)
+        assert peak - self.NORMALS_AND_MODES < 0.75 * self.Y_WINDOW
+
     @pytest.mark.parametrize("name", ["cubic-1d", "dirac-2d"])
     def test_rows_and_slopes_equal_the_materialized_reference(self, name):
         problem = catalog_problem(name, n_steps=32, seed=44)
@@ -349,7 +384,7 @@ class TestStudyReducesAsItSteps:
             spiked, start = _spike_window(control, spike, problem.horizon)
             rerun = problem.ensemble(spiked, n_paths, 44, normals=base.normals)
             xi = rerun.modes[:, start:] - base.modes[:, start:]
-            y = first_variation_ensemble(problem.domain, problem.drift, base, spike)
+            y = _collect(first_variation_ensemble(problem.domain, problem.drift, base, spike))
             for label, arr in (("xi", xi), ("Y", y), ("eta", xi - y)):
                 sup2 = np.max(problem.domain.sup_norm(arr), axis=1) ** 2
                 est, se = float(sup2.mean()), float(sup2.std(ddof=1) / math.sqrt(n_paths))
@@ -417,6 +452,23 @@ class TestCostExpansion:
         report = cost_expansion_check(problem, control, w=0.8, t0=0.5,
                                       epsilons=[1 / 8, 1 / 16, 1 / 32], n_paths=16, seed=36)
         assert all(r["residual"] < 1e-12 for r in report["rows"])
+
+    @pytest.mark.parametrize("name", ["lq-1d", "cubic-1d"])
+    def test_delta_j_equals_the_full_rerun_costs(self, name):
+        # summed from the spike start, J(u^eps) - J(u) is the difference of the full costs
+        problem = catalog_problem(name, modes=16, n_steps=64, seed=38)
+        control = constant_control_for(problem, 0.0)
+        epsilons = [1 / 8, 1 / 16, 1 / 32]
+        report = cost_expansion_check(problem, control, w=0.8, t0=0.5, epsilons=epsilons,
+                                      n_paths=32, seed=38)
+        base = problem.ensemble(control, 32, 38)
+        j_base = cost_of_ensemble(problem, base)
+        for row in report["rows"]:
+            spiked, _ = _spike_window(control, SpikeConfig(0.5, row["epsilon"], 0.8),
+                                      problem.horizon)
+            rerun = problem.ensemble(spiked, 32, 38, normals=base.normals)
+            reference = float((cost_of_ensemble(problem, rerun) - j_base).mean())
+            assert row["delta_j"] == pytest.approx(reference, rel=1e-12, abs=0)
 
     def test_lq_residual_slope_near_two(self):
         problem = catalog_problem("lq-1d", modes=16, n_steps=128, seed=37)
