@@ -8,14 +8,14 @@ from .spectral import (DomainKind, SpectralDomain, make_domain, eigenpairs,
                        weyl_count, regularity_threshold)
 from .nonlinearity import (NemytskiiDrift, ControlSpace, cubic_drift, linear_drift,
                            bistable_drift, drift_from_config)
-from .noise import (NoiseModel, ConvolutionSample, sample_convolution, trace_summand,
+from .noise import (NoiseModel, PathRecord, sample_convolution, trace_summand,
                     series_condition_v, supnorm_moment_study,
                     sample_singular_process, factorization_reconstruct)
-from .forward import (ControlProcess, StateTrajectory, EnsembleStates,
+from .forward import (ControlProcess, EnsembleStates,
                       constant_control, simulate_ensemble,
                       trajectory_to_csv, trajectory_to_binary, read_binary_trajectory)
 from .variation import SpikeConfig, spike_order_study, cost_expansion_check
-from .adjoint import (AdjointPair, AdjointSolution, PathwiseAdjoint, RegressionSpec,
+from .adjoint import (AdjointSolution, PathwiseAdjoint, RegressionSpec,
                       solve_adjoint_regression, duality_residual, weighted_norm_report)
 from .control import (Measure, CostSpec, ControlProblem, quadratic_cost,
                       catalog_problem, hamiltonian,

@@ -1,61 +1,48 @@
 """Backward equation for the adjoint pair (p, q), by step regression or pathwise.
 
 The backward recursion is the exact algebraic transpose of the forward
-exponential-Euler step.  ``_backward_nodes`` is its one loop, a generator
-in the manner of ``forward._exp_euler_nodes``: it yields the nodes n =
-n_steps - 1 ... 0 one at a time, each with p_n, the state field it took
-for f' and what a collector needs (the step's fit, target and fitted value
-and its clip rate), and raises ``InstabilityError`` at the first node
-whose p is not finite.  The conditional expectation of each step's target
-is the only part that varies:
+exponential-Euler step.  ``_backward_nodes`` is its one loop: it yields the
+nodes n = n_steps - 1 ... 0 one at a time, each with p_n, the state field
+it took for f' and what a collector needs, and raises ``InstabilityError``
+at the first node whose p is not finite.  Only the conditional expectation
+of each step's target varies:
 
 - a ``RegressionSpec``: least-squares Monte Carlo (Longstaff-Schwartz
-  style), a regression on basis functions of the current state's mode
-  coefficients.  Its fit is the adapted p.  q is extracted from the
-  martingale increment at the same step, q_n = E[p_{n+1} (x) dW_n | F_n] / dt,
-  and is kept in reduced form.  Its fitted values are the projection
-  U U^T q_target, with U the regression's orthonormal factor; since the
-  basis holds an intercept, the ensemble mean of the fit is the plain mean
-  of the targets, and the per-path V'-norm is U_i M U_i^T with the F x F
-  matrix M = C diag(w) C^T, C = U^T (p_{n+1} (x) dW_n) / dt.  No
-  (P, N N_K) target or fitted array is built.  ``backward_sweep`` drains
-  this loop into an ``AdjointSolution`` (p on every node, the weighted p
-  integrals, the reduced q block and a diagnostics entry per step);
-  ``adjoint-check`` and ``selftest``'s duality check use it: the duality
-  residual, the weighted norms and ``adjoint0.bin`` need the adapted p (on
-  the pathwise p below the duality identity holds path by path, so it
-  would test nothing).
-- no spec: no fit; each path keeps its own target, which gives the
-  pathwise recursion p~.  Controls here are deterministic, so the
-  Hamiltonian gap and the control gradient use the adjoint only through
-  E<p_t, G(X_t)> with G known at time t, and by the tower property that
-  expectation is the same for p~: it is unbiased for them, needs no basis,
-  no path budget and no SVD, and its per-path values are independent, so
-  their spread is an honest standard error.  It has no q.
-  ``PathwiseAdjoint`` streams p~ to a consumer one node at a time and
-  stores nothing: the gradient of ``control.optimize_control`` and every
-  gap check of the maximum principle take their nodes from it, so none
-  builds a (P, n_steps + 1, N) p array, and the Hamiltonian reuses the
-  state field the loop took for f'.
+  style) on basis functions of the current state's mode coefficients.  Its
+  fit is the adapted p.  q_n = E[p_{n+1} (x) dW_n | F_n] / dt is kept in
+  reduced form: with U the regression's orthonormal factor, the intercept
+  makes the mean of the fit the mean of the targets, and the per-path
+  V'-norm is U_i M U_i^T with M = C diag(w) C^T, C = U^T (p_{n+1} (x) dW_n)
+  / dt, so no (P, N N_K) array is built.  ``backward_sweep`` collects it
+  into an ``AdjointSolution`` for ``adjoint-check`` and ``selftest``'s
+  duality check, which need the adapted p (on p~ the duality identity
+  holds path by path, so it would test nothing).
+- no spec: each path keeps its own target, the pathwise p~.  Controls here
+  are deterministic, so the Hamiltonian gap and the control gradient take
+  the adjoint only through E<p_t, G(X_t)> with G known at time t, which the
+  tower property makes the same for p~: unbiased, with no basis, path
+  budget or SVD, and with independent per-path values whose spread is an
+  honest standard error.  It has no q.  ``PathwiseAdjoint`` streams it node
+  by node to the descent and the gap checks, and stores no p array.
 
-Instead of the double smoothing used in the continuous theory (semigroup
-mollification of the data plus Lipschitz regularization of the drift), the
-truncated spectral setting regularizes spatially by itself; the drift
-derivative is merely clipped at ``FPRIME_CLIP`` and the activation rate
-reported.
+The truncated spectral setting regularizes spatially by itself, so the
+semigroup mollification and Lipschitz regularization of the continuous
+theory are not needed; the drift derivative is merely clipped at
+``FPRIME_CLIP`` and the clip rate reported.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, InstabilityError, RegressionError, ShapeError
-from .forward import EnsembleStates, linearized_modes, weight_cell_integrals, _step_weights
+from .forward import (EnsembleStates, linearized_modes, weight_cell_integrals, _read_snapshot,
+                      _step_weights, _write_snapshot)
+from .noise import PathRecord
 from .spectral import SpectralDomain
 
 if TYPE_CHECKING:
@@ -86,26 +73,29 @@ class RegressionSpec:
     basis_modes: Optional[int] = None
     degree2: bool = False
 
+    @property
+    def _features_per_mode(self) -> int:
+        return int(self.include_modes) + int(self.degree2)
+
     def check_paths(self, n_modes: int, n_paths: int):
         """Raise unless ``n_paths`` affords this basis on ``n_modes`` state modes."""
         core_modes = n_modes if self.basis_modes is None else min(self.basis_modes, n_modes)
-        n_features = 1 + (core_modes if self.include_modes else 0) + (core_modes if self.degree2 else 0)
+        n_features = 1 + self._features_per_mode * core_modes
         if n_paths < MIN_PATHS_PER_FEATURE * n_features:
             raise ConfigurationError(
                 f"regression with {n_features} basis functions wants at least "
                 f"{MIN_PATHS_PER_FEATURE * n_features} paths, got {n_paths}")
 
+    def affordable_modes(self, n_modes: int, n_paths: int) -> int:
+        """The most of the ``n_modes`` lowest modes whose basis ``n_paths`` affords,
+        ``check_paths`` inverted; below 1 when not even one mode is affordable."""
+        if self._features_per_mode == 0:
+            return n_modes
+        return min(n_modes, (n_paths // MIN_PATHS_PER_FEATURE - 1) // self._features_per_mode)
+
     def step(self, modes: np.ndarray) -> _StepRegressor:
         """The conditional expectation of one step, fitted on the state modes (P, N)."""
         return _StepRegressor(_default_features(modes, self))
-
-
-@dataclass
-class AdjointPair:
-    """One path's p on the forward grid."""
-
-    times: np.ndarray
-    p_coeffs: np.ndarray                 # (n_steps + 1, N)
 
 
 class _StepRegressor:
@@ -115,8 +105,7 @@ class _StepRegressor:
         self.n_paths = features.shape[0]
         mean = features.mean(axis=0)
         std = features.std(axis=0)
-        keep = std > 1e-12 * (1.0 + np.abs(mean))
-        self.mean, self.std, self.keep = mean, std, keep
+        self.keep = keep = std > 1e-12 * (1.0 + np.abs(mean))
         core = (features[:, keep] - mean[keep]) / std[keep]
         phi = np.concatenate([np.ones((self.n_paths, 1)), core], axis=1)
         u, s, vt = np.linalg.svd(phi, full_matrices=False)
@@ -166,7 +155,6 @@ class AdjointSolution:
     the duality and norm diagnostics consume.
     """
 
-    domain: SpectralDomain
     times: np.ndarray
     p_values: np.ndarray                     # (P, n_steps + 1, N)
     mean_q: Optional[np.ndarray] = None      # (n_steps, N, N_K)
@@ -183,8 +171,9 @@ class AdjointSolution:
     def p_mean(self) -> np.ndarray:
         return self.p_values.mean(axis=0)
 
-    def pair(self, i: int) -> AdjointPair:
-        return AdjointPair(times=self.times, p_coeffs=self.p_values[i])
+    def pair(self, i: int) -> PathRecord:
+        """Path i's p on the forward grid."""
+        return PathRecord(times=self.times, mode_coeffs=self.p_values[i])
 
     def nodes(self):
         """The stored p rows as (n, None, p_n) for n = 0 ... n_steps - 1; no field is kept."""
@@ -308,7 +297,7 @@ def backward_sweep(domain: SpectralDomain, ensemble: EnsembleStates, drift,
         p_next = node.p
 
     diagnostics.reverse()
-    return AdjointSolution(domain=domain, times=ensemble.times, p_values=p_values,
+    return AdjointSolution(times=ensemble.times, p_values=p_values,
                            mean_q=mean_q, p_weighted_per_path=ip,
                            q_weighted_per_path=iq, diagnostics=diagnostics,
                            ensemble=ensemble)
@@ -443,31 +432,18 @@ def weighted_norm_report(solution: AdjointSolution, r_prime: float = 1.5) -> dic
 
 # -- exports ---------------------------------------------------------------------
 
-_MAGIC = b"SPDA"
-
-
-def adjoint_to_binary(pair: AdjointPair, path: str):
-    """Little-endian: b"SPDA", u32 N, u32 n_steps, f64 horizon, u32 N_K = 0,
-    u32 has_q = 0, then the p matrix row-major float64."""
-    n_steps = pair.times.size - 1
-    n_modes = pair.p_coeffs.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIdII", n_modes, n_steps, float(pair.times[-1]), 0, 0))
-        fh.write(np.ascontiguousarray(pair.p_coeffs, dtype="<f8").tobytes())
+def adjoint_to_binary(pair: PathRecord, path: str):
+    """Snapshot with magic b"SPDA" and two extra header fields, u32 N_K = 0 and
+    u32 has_q = 0: the p matrix only."""
+    _write_snapshot(pair, path, b"SPDA", (0, 0))
 
 
 def read_binary_adjoint(path: str):
     """Return (horizon, p matrix) from an adjoint snapshot."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ConfigurationError("not an adjoint snapshot")
-        n_modes, n_steps, horizon, nk, has_q = struct.unpack("<IIdII", fh.read(24))
-        if nk or has_q:
-            raise ConfigurationError(f"adjoint snapshot with a q block (N_K = {nk}, "
-                                     f"has_q = {has_q}); only p snapshots are read")
-        p = np.frombuffer(fh.read(8 * (n_steps + 1) * n_modes),
-                          dtype="<f8").reshape(n_steps + 1, n_modes)
+    horizon, (nk, has_q), p = _read_snapshot(path, b"SPDA", "not an adjoint snapshot", 2)
+    if nk or has_q:
+        raise ConfigurationError(f"adjoint snapshot with a q block (N_K = {nk}, "
+                                 f"has_q = {has_q}); only p snapshots are read")
     return horizon, p
 
 

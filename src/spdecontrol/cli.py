@@ -23,9 +23,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .adjoint import (MIN_PATHS_PER_FEATURE, PathwiseAdjoint, RegressionSpec,
-                      adjoint_to_binary, diagnostics_to_json, duality_residual,
-                      solve_adjoint_regression, weighted_norm_report)
+from .adjoint import (PathwiseAdjoint, RegressionSpec, adjoint_to_binary, diagnostics_to_json,
+                      duality_residual, solve_adjoint_regression, weighted_norm_report)
 from .control import (CATALOG, CATALOG_OVERRIDES, ControlProblem, catalog_problem,
                       check_maximum_principle, constant_control_for, cost_of_ensemble,
                       lq_optimal_control, optimize_control, problem_from_spec)
@@ -37,6 +36,8 @@ from .variation import cost_expansion_check, spike_order_study
 
 SUBCOMMANDS = ("simulate", "noise-check", "spike-orders", "cost-expansion",
                "adjoint-check", "smp-check", "optimize", "selftest")
+# the subcommands that run on a formula-only domain, which has no collocation grid
+GRIDLESS_SUBCOMMANDS = ("noise-check", "selftest")
 
 _MEASURE_SCHEMA = {
     "type": "object",
@@ -73,7 +74,6 @@ _INLINE_PROBLEM_SCHEMA = {
                 "kind": {"enum": ["cubic", "linear", "bistable"]},
                 "a": {"type": "number"},
                 "b": {"type": "number"},
-                "u_bound": {"type": "number"},
             },
         },
         "noise": {
@@ -181,6 +181,16 @@ def validate_config(config: dict) -> dict:
     return config
 
 
+def _check_flags(**flags):
+    """Refuse a command-line ``--seed`` or ``--paths`` the schema refuses in ``numerics``."""
+    given = {name: value for name, value in flags.items() if value is not None}
+    numerics = jsonschema.Draft202012Validator(CONFIG_SCHEMA["properties"]["numerics"])
+    err = jsonschema.exceptions.best_match(numerics.iter_errors(given))
+    if err is not None:
+        name = err.absolute_path[0]
+        raise ConfigurationError(f"--{name} {given[name]}: {err.message}")
+
+
 def build_problem(config: dict, root_seed: int) -> ControlProblem:
     spec = config["problem"]
     if isinstance(spec, dict):
@@ -238,10 +248,6 @@ def _numerics(config, seed, paths):
     seed = seed if seed is not None else num.get("seed", 20250801)
     paths = paths if paths is not None else num.get("paths", 400)
     return int(seed), int(paths), num
-
-
-def _study(config):
-    return dict(config.get("study", {}))
 
 
 def _base_control(problem, study):
@@ -356,7 +362,7 @@ def _regression_spec(num, problem, paths):
     n_modes = problem.domain.n_modes
     if spec.basis_modes is None:
         # the full basis over the path budget: keep the most modes that fit
-        fitting = (paths // MIN_PATHS_PER_FEATURE - 1) // (2 if spec.degree2 else 1)
+        fitting = spec.affordable_modes(n_modes, paths)
         if 1 <= fitting < n_modes:
             spec = dataclasses.replace(spec, basis_modes=fitting)
             print(f"note: {paths} paths cannot fit a regression on all {n_modes} modes; "
@@ -521,6 +527,7 @@ def run(subcommand: str, config_path: str, out_dir: str, *, seed=None, paths=Non
         return 2
     try:
         config = validate_config(json.loads(path.read_text()))
+        _check_flags(seed=seed, paths=paths)
     except (json.JSONDecodeError, ConfigurationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -540,8 +547,13 @@ def run(subcommand: str, config_path: str, out_dir: str, *, seed=None, paths=Non
     }
     try:
         problem = build_problem(config, root_seed)
+        if problem.domain.kind is not DomainKind.HYPERCUBE and \
+                subcommand not in GRIDLESS_SUBCOMMANDS:
+            raise ConfigurationError(
+                f"{subcommand} needs a collocation grid, which a {problem.domain.kind.value!r} "
+                f"domain does not have; {' and '.join(GRIDLESS_SUBCOMMANDS)} run on it")
         artifacts = _RUNNERS[subcommand](problem, root_seed, n_paths, num,
-                                         _study(config), out)
+                                         dict(config.get("study", {})), out)
     except SpdeControlError as err:
         write_json(out / "manifest.json", manifest)
         print(f"error: {err}", file=sys.stderr)

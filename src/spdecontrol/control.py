@@ -25,8 +25,8 @@ import numpy as np
 
 from .adjoint import AdjointSolution, PathwiseAdjoint
 from .errors import ConfigurationError, ShapeError
-from .forward import (ControlProcess, EnsembleStates, _step_weights, constant_control,
-                      simulate_ensemble)
+from .forward import (ControlProcess, EnsembleStates, _step_weights, check_step_stability,
+                      constant_control, simulate_ensemble)
 from .noise import NoiseModel, ou_factors
 from .nonlinearity import ControlSpace, NemytskiiDrift, drift_from_config
 from .spectral import DomainKind, SpectralDomain, make_domain
@@ -163,11 +163,7 @@ class ControlProblem:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (self.domain.n_modes,):
             raise ShapeError(f"x0 must have {self.domain.n_modes} coefficients")
-        beta = self.drift.dissipativity_bound
-        if self.dt * beta >= 1.0:
-            raise ConfigurationError(
-                f"dt*beta = {self.dt * beta:.3g} must stay below 1; raise n_steps "
-                f"above {math.ceil(self.horizon * beta)} or weaken the drift")
+        check_step_stability(self.drift, self.horizon, self.n_steps)
 
     @property
     def dt(self) -> float:
@@ -176,12 +172,11 @@ class ControlProblem:
     def ensemble(self, control: ControlProcess, n_paths: int, seed: int,
                  **kw) -> EnsembleStates:
         return simulate_ensemble(self.domain, self.drift, self.noise, control,
-                                 self.x0, len(control), self.horizon, n_paths, seed, **kw)
+                                 self.x0, self.horizon, n_paths, seed, **kw)
 
 
-def constant_control_for(problem: ControlProblem, value: float,
-                         n_steps: Optional[int] = None) -> ControlProcess:
-    return constant_control(problem.control_space, value, n_steps or problem.n_steps)
+def constant_control_for(problem: ControlProblem, value: float) -> ControlProcess:
+    return constant_control(problem.control_space, value, problem.n_steps)
 
 
 # -- problem catalog -----------------------------------------------------------
@@ -387,17 +382,14 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
     """Projected gradient descent on piecewise-constant controls, fixed step ``step_rule``.
 
     The descent direction is the adjoint-based Hamiltonian gradient
-    d_u H = d_u L + <p, d_u F>, with p the pathwise p~, taken node by node
-    from a ``PathwiseAdjoint``, so no p array is built; iterations share one
-    set of noise streams (common random numbers) so the recorded costs are
-    comparable: the normals are drawn once, by the first ensemble, and
-    every later one reuses them.
-    Once the control has moved, the last ensemble is dropped, its normals
-    kept, before the next is simulated.  Descent stops after ``iterations``
-    steps, or early once the gradient norm falls below ``GRAD_TOL``; the
-    control has not moved then, and its last ensemble is the final one.
-    The trace holds the per-iteration "J", "stderr" and "grad_norm" lists,
-    J and stderr ending with the final control's, and, as "ensemble", the
+    d_u H = d_u L + <p, d_u F>, with p the pathwise p~ streamed node by node
+    from a ``PathwiseAdjoint``.  Iterations share one set of noise streams
+    (common random numbers), drawn by the first ensemble, so the recorded
+    costs are comparable; each ensemble is dropped, its normals kept, before
+    the next is simulated.  Descent stops after ``iterations`` steps, or
+    early once the gradient norm falls below ``GRAD_TOL``.  The trace holds
+    "J" and "stderr" for each control visited, one more than the steps
+    taken; "grad_norm" for each gradient taken; and, as "ensemble", the
     ensemble under the returned control, so a caller need not simulate it
     again.
     """
@@ -416,8 +408,8 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
     non_decreasing = 0
     ctrl = ControlProcess(values=control.values.copy(), space=problem.control_space)
     ens = problem.ensemble(ctrl, n_paths, seed)
+    record(ens)
     for m in range(iterations):
-        record(ens)
         if m > 0 and trace["J"][-1] >= trace["J"][-2]:
             non_decreasing += 1
             if non_decreasing >= 5:
@@ -437,7 +429,7 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
         normals = ens.normals
         del ens     # its modes go before the next ensemble's are built
         ens = problem.ensemble(ctrl, n_paths, seed, normals=normals)
-    record(ens)
+        record(ens)
     trace["ensemble"] = ens
     return ctrl, trace
 

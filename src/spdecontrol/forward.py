@@ -9,22 +9,19 @@ reuses the exact Ornstein-Uhlenbeck transition of the stochastic
 convolution.
 
 One stepper, ``_exp_euler_nodes``, holds the nonlinear step and its
-blow-up guard for a batch of paths and yields the state node by node;
-each step scales that step's standard normals by the noise coefficients,
-so no increments array is ever built.  ``_exp_euler`` collects the nodes
-into an ensemble array for ``simulate_ensemble``, which drives it with
-per-path normals (fresh, or those of an earlier ensemble to rerun its
-noise under another control); the spike studies of ``variation`` consume
-the nodes of their reruns one at a time, from the base states at the
-spike start with the base normals from there on.  ``linearized_modes``
-solves the linearized equation with a forcing gamma and a diagonal noise
-coefficient eta along a batch of base paths, reusing their normals, which
-is what the spike-variation and duality machinery need; like the stepper
-it yields checked nodes one at a time, so its consumers build no array.
+blow-up guard for a batch of paths and yields the checked state node by
+node, scaling each step's standard normals itself.  ``simulate_ensemble``
+collects its nodes, on fresh normals or on an earlier ensemble's; the spike
+studies consume the nodes of their reruns one at a time.
+``linearized_modes`` streams the linearized equation, with a forcing gamma
+and a diagonal noise coefficient eta, along a batch of base paths on their
+normals.  A path is exported as a ``PathRecord``, in CSV or in the binary
+snapshot layout the adjoint's export shares.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, InstabilityError, ShapeError
-from .noise import NoiseModel, increment_scale, ou_factors, wiener_normals
+from .noise import NoiseModel, PathRecord, increment_scale, ou_factors, wiener_normals
 from .nonlinearity import ControlSpace, NemytskiiDrift
 from .rng import seed_sequence
 from .spectral import SpectralDomain
@@ -62,19 +59,6 @@ def constant_control(space: ControlSpace, value: float, n_steps: int) -> Control
     return ControlProcess(values=np.full(n_steps, float(value)), space=space)
 
 
-@dataclass
-class StateTrajectory:
-    """One stored path, as the trajectory exporters write it."""
-
-    domain: SpectralDomain
-    times: np.ndarray          # (n_steps + 1,)
-    mode_coeffs: np.ndarray    # (n_steps + 1, N)
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
-
-
 # -- core integrator ----------------------------------------------------------
 
 def _step_weights(domain: SpectralDomain, dt: float):
@@ -84,11 +68,13 @@ def _step_weights(domain: SpectralDomain, dt: float):
     return decay, wdrift
 
 
-def _check_stability(drift: NemytskiiDrift, dt: float):
-    if dt * drift.dissipativity_bound >= 1.0:
+def check_step_stability(drift: NemytskiiDrift, horizon: float, n_steps: int):
+    """Refuse a grid that breaks dt*beta < 1, naming the step count to exceed."""
+    beta = drift.dissipativity_bound
+    if horizon / n_steps * beta >= 1.0:
         raise ConfigurationError(
-            f"explicit reaction step needs dt*beta < 1; got dt={dt}, "
-            f"beta={drift.dissipativity_bound}")
+            f"dt*beta = {horizon / n_steps * beta:.3g} must stay below 1; raise n_steps "
+            f"above {math.floor(horizon * beta)} or weaken the drift")
 
 
 def _exp_euler_nodes(domain: SpectralDomain, drift: NemytskiiDrift,
@@ -137,7 +123,6 @@ def _exp_euler(domain: SpectralDomain, drift: NemytskiiDrift, control_values: np
 class EnsembleStates:
     """A batch of paths simulated under one control with per-path streams."""
 
-    domain: SpectralDomain
     times: np.ndarray
     modes: np.ndarray      # (n_paths, n_steps + 1, N)
     normals: np.ndarray    # (n_paths, n_steps, N)
@@ -151,24 +136,23 @@ class EnsembleStates:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def trajectory(self, i: int) -> StateTrajectory:
-        return StateTrajectory(domain=self.domain, times=self.times,
-                               mode_coeffs=self.modes[i])
+    def trajectory(self, i: int) -> PathRecord:
+        return PathRecord(times=self.times, mode_coeffs=self.modes[i])
 
 
 def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: NoiseModel,
-                      control: ControlProcess, x0: np.ndarray, n_steps: int, horizon: float,
+                      control: ControlProcess, x0: np.ndarray, horizon: float,
                       n_paths: int, root_seed: int, *,
                       normals: Optional[np.ndarray] = None) -> EnsembleStates:
     """Sample ``n_paths`` mild-solution paths under one control, path ``i``
-    driven by the normals of stream ``(root_seed, "wiener", i)``.
+    driven by the normals of stream ``(root_seed, "wiener", i)``; the control
+    has one value per step.
 
     Passing the ``normals`` of an earlier ensemble reruns its noise paths
     under another control from t = 0.
     """
-    if len(control) != n_steps:
-        raise ShapeError(f"control has {len(control)} values for {n_steps} steps")
-    _check_stability(drift, horizon / n_steps)
+    n_steps = len(control)
+    check_step_stability(drift, horizon, n_steps)
     if np.shape(x0) != (domain.n_modes,):
         raise ShapeError(f"x0 must have shape ({domain.n_modes},), got {np.shape(x0)}")
     dt = horizon / n_steps
@@ -182,7 +166,7 @@ def simulate_ensemble(domain: SpectralDomain, drift: NemytskiiDrift, noise: Nois
                          f"got {normals.shape}")
     modes = _exp_euler(domain, drift, control.values, x0, normals,
                        increment_scale(domain, noise, dt), dt)
-    return EnsembleStates(domain=domain, times=np.linspace(0.0, horizon, n_steps + 1),
+    return EnsembleStates(times=np.linspace(0.0, horizon, n_steps + 1),
                           modes=modes, normals=normals, control=control)
 
 
@@ -248,33 +232,54 @@ def weight_cell_integrals(horizon: float, n_steps: int, exponent: float) -> np.n
 
 # -- exports -------------------------------------------------------------------
 
-_MAGIC = b"SPDT"
 
-
-def trajectory_to_csv(traj: StateTrajectory, path: str):
+def trajectory_to_csv(traj: PathRecord, path: str):
     """Rows (time, mode index, coefficient), deterministic %.17g formatting."""
     with open(path, "w") as fh:
         fh.write("time,mode,coefficient\n")
-        for n, t in enumerate(traj.times):
-            for k in range(traj.domain.n_modes):
-                fh.write(f"{t:.17g},{k},{traj.mode_coeffs[n, k]:.17g}\n")
+        for t, row in zip(traj.times, traj.mode_coeffs):
+            for k, value in enumerate(row):
+                fh.write(f"{t:.17g},{k},{value:.17g}\n")
 
 
-def trajectory_to_binary(traj: StateTrajectory, path: str):
-    """Little-endian snapshot: b"SPDT", u32 N, u32 n_steps, f64 horizon,
-    then the (n_steps+1) x N coefficient matrix as row-major float64."""
+def _write_snapshot(record: PathRecord, path: str, magic: bytes, extra: tuple = ()):
+    """Little-endian snapshot: ``magic``, u32 N, u32 n_steps, f64 horizon, the
+    u32 fields ``extra``, then the (n_steps+1) x N coefficient matrix as
+    row-major float64."""
+    n_plus, n_modes = record.mode_coeffs.shape
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IId", traj.domain.n_modes, traj.n_steps, float(traj.times[-1])))
-        fh.write(np.ascontiguousarray(traj.mode_coeffs, dtype="<f8").tobytes())
+        fh.write(struct.pack(f"<4sIId{len(extra)}I", magic, n_modes, n_plus - 1,
+                             float(record.times[-1]), *extra))
+        fh.write(np.ascontiguousarray(record.mode_coeffs, dtype="<f8").tobytes())
+
+
+def _read_snapshot(path: str, magic: bytes, refusal: str, n_extra: int = 0):
+    """(horizon, the ``n_extra`` u32 fields, coefficient matrix) of a ``_write_snapshot``
+    file; ``ConfigurationError`` if its magic is not ``magic`` (with ``refusal``,
+    formatted with the magic read) or its size is not the one its header gives."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != magic:
+        raise ConfigurationError(refusal.format(data[:4]))
+    header = struct.Struct(f"<4sIId{n_extra}I")
+    if len(data) < header.size:
+        raise ConfigurationError(f"snapshot {path} is truncated inside its header")
+    _, n_modes, n_steps, horizon, *extra = header.unpack_from(data)
+    if len(data) - header.size != 8 * (n_steps + 1) * n_modes:
+        raise ConfigurationError(
+            f"snapshot {path} holds {len(data) - header.size} matrix bytes; its header "
+            f"(N = {n_modes}, n_steps = {n_steps}) wants {8 * (n_steps + 1) * n_modes}")
+    matrix = np.frombuffer(data, dtype="<f8", offset=header.size)
+    return horizon, extra, matrix.reshape(n_steps + 1, n_modes)
+
+
+def trajectory_to_binary(traj: PathRecord, path: str):
+    """Snapshot with magic b"SPDT" and no extra header fields."""
+    _write_snapshot(traj, path, b"SPDT")
 
 
 def read_binary_trajectory(path: str):
     """Return (horizon, coefficient matrix) from a binary snapshot."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ConfigurationError(f"not a trajectory snapshot: bad magic {magic!r}")
-        n_modes, n_steps, horizon = struct.unpack("<IId", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(n_steps + 1, n_modes)
+    horizon, _, data = _read_snapshot(path, b"SPDT",
+                                      "not a trajectory snapshot: bad magic {!r}")
     return horizon, data

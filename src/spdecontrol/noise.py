@@ -6,9 +6,8 @@ uses the exact per-step OU transition w_{n+1} = exp(-mu dt) w_n + b sd xi
 (no Euler bias in law): ``ou_paths`` applies it to one path's increments
 for ``sample_convolution``, and the sup-norm moment study steps it over a
 block of paths at once, one node at a time, keeping only a running sup per
-path.  The only
-approximation anywhere is the mode truncation, which is exactly what the
-regularity diagnostics in this module are meant to probe.
+path.  The only approximation anywhere is the mode truncation, which is
+exactly what the regularity diagnostics in this module are meant to probe.
 """
 
 from __future__ import annotations
@@ -42,9 +41,12 @@ class NoiseModel:
 
 
 @dataclass
-class ConvolutionSample:
+class PathRecord:
+    """One path of mode coefficients on the time grid: a state, an adjoint or a
+    stochastic-convolution path, as the exporters write it."""
+
     times: np.ndarray        # (n_steps + 1,)
-    mode_coeffs: np.ndarray  # (n_steps + 1, N), row 0 is zero
+    mode_coeffs: np.ndarray  # (n_steps + 1, N)
 
 
 def ou_factors(mu: np.ndarray, dt: float):
@@ -60,10 +62,9 @@ def ou_factors(mu: np.ndarray, dt: float):
     return decay, np.sqrt(var)
 
 
-def wiener_normals(rng_or_seed, n_steps: int, n_modes: int) -> np.ndarray:
+def wiener_normals(path_seed, n_steps: int, n_modes: int) -> np.ndarray:
     """The (n_steps, n_modes) standard normals that drive one path."""
-    rng = make_rng(rng_or_seed)
-    return rng.standard_normal((n_steps, n_modes))
+    return make_rng(path_seed).standard_normal((n_steps, n_modes))
 
 
 def increment_scale(domain: SpectralDomain, noise: NoiseModel, dt: float) -> np.ndarray:
@@ -112,8 +113,8 @@ def aggregate_increments(increments: np.ndarray, mu: np.ndarray,
 
 
 def sample_convolution(domain: SpectralDomain, noise: NoiseModel, n_steps: int,
-                       horizon: float, path_seed) -> ConvolutionSample:
-    """One path of the stochastic convolution on a uniform grid.
+                       horizon: float, path_seed) -> PathRecord:
+    """One path of the stochastic convolution on a uniform grid, row 0 zero.
 
     The per-step recursion w_{n+1} = exp(-mu dt) w_n + b sd xi matches the
     continuous-time Gaussian law at every grid node exactly.
@@ -123,8 +124,8 @@ def sample_convolution(domain: SpectralDomain, noise: NoiseModel, n_steps: int,
     dt = horizon / n_steps
     normals = wiener_normals(path_seed, n_steps, domain.n_modes)
     incr = convolution_increments(domain, noise, normals, dt)
-    return ConvolutionSample(times=np.linspace(0.0, horizon, n_steps + 1),
-                             mode_coeffs=ou_paths(domain.eigenvalues, dt, incr))
+    return PathRecord(times=np.linspace(0.0, horizon, n_steps + 1),
+                      mode_coeffs=ou_paths(domain.eigenvalues, dt, incr))
 
 
 # -- analytic diagnostics ----------------------------------------------------
@@ -259,7 +260,6 @@ class SingularKernelSample:
     times: np.ndarray        # evaluation times (cell midpoints)
     mode_coeffs: np.ndarray  # (len(times), N)
     dt: float
-    normals: np.ndarray      # underlying per-step standard normals
 
 
 def sample_singular_process(domain: SpectralDomain, noise: NoiseModel, n_steps: int,
@@ -271,8 +271,7 @@ def sample_singular_process(domain: SpectralDomain, noise: NoiseModel, n_steps: 
     quadrature keeps its rate despite the integrable singularity.
     """
     dt = horizon / n_steps
-    normals = wiener_normals(path_seed, n_steps, domain.n_modes)
-    dw = normals * math.sqrt(dt)
+    dw = wiener_normals(path_seed, n_steps, domain.n_modes) * math.sqrt(dt)
     a = noise.alpha
     mu = domain.eigenvalues
     mids = (np.arange(n_steps) + 0.5) * dt
@@ -289,11 +288,11 @@ def sample_singular_process(domain: SpectralDomain, noise: NoiseModel, n_steps: 
         with np.errstate(invalid="ignore"):
             scale = np.where(weights > 0, kern / weights, 0.0)
         coeffs[m] = noise.b_coeffs * np.sum(decay * (dw[: m + 1] * scale[:, None]), axis=0)
-    return SingularKernelSample(times=mids, mode_coeffs=coeffs, dt=dt, normals=normals)
+    return SingularKernelSample(times=mids, mode_coeffs=coeffs, dt=dt)
 
 
 def factorization_reconstruct(domain: SpectralDomain, noise: NoiseModel,
-                              y_sample: SingularKernelSample, alpha: float) -> ConvolutionSample:
+                              y_sample: SingularKernelSample, alpha: float) -> PathRecord:
     """Rebuild the convolution from Y through the singular-kernel integral.
 
     W_A(t) = sin(pi alpha)/pi * int_0^t S(t-sigma) (t-sigma)^(alpha-1) Y(sigma) dsigma,
@@ -315,4 +314,4 @@ def factorization_reconstruct(domain: SpectralDomain, noise: NoiseModel,
         kern = ((t - edges[m]) ** alpha - (t - edges[m + 1]) ** alpha) / alpha
         decay = np.exp(-np.outer(t - y_sample.times[:n], mu))
         coeffs[n] = prefactor * np.sum(decay * y_sample.mode_coeffs[:n] * kern[:, None], axis=0)
-    return ConvolutionSample(times=edges, mode_coeffs=coeffs)
+    return PathRecord(times=edges, mode_coeffs=coeffs)

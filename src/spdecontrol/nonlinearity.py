@@ -4,7 +4,9 @@ A drift is a scalar function f(sigma, u) with derivative bounded above
 (f' <= beta), so the reaction part never destabilizes the heat flow even
 without a global Lipschitz bound.  The steppers evaluate ``f`` and ``f'``
 on the collocation values of the state; in the truncated spectral setting
-no Lipschitz regularization of f is needed.
+no Lipschitz regularization of f is needed.  The catalog drifts' growth
+constants hold for |u| <= 1, the interval [-1, 1] being the only control
+set a config builds.
 """
 
 from __future__ import annotations
@@ -70,40 +72,39 @@ class ControlSpace:
 
 # -- drift catalog ----------------------------------------------------------
 
-def cubic_drift(a: float = 1.0, b: float = 1.0, u_bound: float = 1.0) -> NemytskiiDrift:
+def cubic_drift(a: float = 1.0, b: float = 1.0) -> NemytskiiDrift:
     """f(sigma, u) = -sigma^3 + a*sigma + b*u, dissipative with beta = a."""
-    growth_const = 4.0 + 2.0 * abs(a) + abs(b) * u_bound
     return NemytskiiDrift(
         f=lambda s, u: -(s * s * s) + a * s + b * u,
         f_prime=lambda s, u: -3.0 * s**2 + a,
         growth_degree=3,
-        growth_const=growth_const,
+        growth_const=4.0 + 2.0 * abs(a) + abs(b),
         dissipativity_bound=a,
         f_u=lambda s, u: b * np.ones_like(np.asarray(s, dtype=float)),
         name="cubic",
     )
 
 
-def linear_drift(u_bound: float = 1.0) -> NemytskiiDrift:
+def linear_drift() -> NemytskiiDrift:
     """f(sigma, u) = -sigma + u; the fully solvable baseline."""
     return NemytskiiDrift(
         f=lambda s, u: -s + u,
         f_prime=lambda s, u: -np.ones_like(np.asarray(s, dtype=float)),
         growth_degree=1,
-        growth_const=2.0 + u_bound,
+        growth_const=3.0,
         dissipativity_bound=-1.0,
         f_u=lambda s, u: np.ones_like(np.asarray(s, dtype=float)),
         name="linear",
     )
 
 
-def bistable_drift(u_bound: float = 1.0) -> NemytskiiDrift:
+def bistable_drift() -> NemytskiiDrift:
     """f(sigma, u) = sigma - sigma^3 + u (double-well reaction)."""
     return NemytskiiDrift(
         f=lambda s, u: s - s * s * s + u,
         f_prime=lambda s, u: 1.0 - 3.0 * s**2,
         growth_degree=3,
-        growth_const=6.0 + u_bound,
+        growth_const=7.0,
         dissipativity_bound=1.0,
         f_u=lambda s, u: np.ones_like(np.asarray(s, dtype=float)),
         name="bistable",

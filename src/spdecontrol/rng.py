@@ -26,15 +26,10 @@ def seed_sequence(root_seed: int, tag: str, path_index: int = 0) -> np.random.Se
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Build a generator from a seed of any supported flavour.
-
-    Accepts an int, a ``SeedSequence``, an existing ``Generator`` (returned
-    as is), or a ``(root_seed, tag, path_index)`` tuple.
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    if isinstance(seed, tuple) and len(seed) == 3 and isinstance(seed[1], str):
-        return np.random.default_rng(seed_sequence(*seed))
-    return np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
+    """A generator from a ``SeedSequence`` or a ``(root_seed, tag, path_index)`` tuple."""
+    if isinstance(seed, tuple):
+        seed = seed_sequence(*seed)
+    if not isinstance(seed, np.random.SeedSequence):
+        raise TypeError(f"seed must be a SeedSequence or a (root_seed, tag, path_index) "
+                        f"tuple, got {seed!r}")
+    return np.random.default_rng(seed)

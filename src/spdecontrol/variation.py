@@ -171,7 +171,7 @@ def _spike_study_setup(problem: ControlProblem, control: ControlProcess, w: floa
         spikes.append((spike, *_spike_window(control, spike, problem.horizon)))
     seed = seed if seed is not None else problem.noise.seed
     base = simulate_ensemble(problem.domain, problem.drift, problem.noise, control,
-                             problem.x0, len(control), problem.horizon, n_paths, seed)
+                             problem.x0, problem.horizon, n_paths, seed)
     return epsilons, spikes, base
 
 

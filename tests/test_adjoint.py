@@ -424,7 +424,7 @@ class TestExports:
         adjoint_to_binary(pair, path)
         horizon, p = read_binary_adjoint(path)
         assert horizon == problem.horizon
-        assert np.array_equal(p, pair.p_coeffs)
+        assert np.array_equal(p, pair.mode_coeffs)
 
     @pytest.mark.parametrize("nk, has_q", [(3, 1), (3, 0)])
     def test_q_block_header_is_refused(self, tmp_path, nk, has_q):

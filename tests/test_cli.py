@@ -47,10 +47,12 @@ def no_build(*args, **kwargs):
     raise AssertionError("built a problem before the configuration was checked")
 
 
-# configs the schema refuses: three keys that did nothing (the f' clip is the constant
-# adjoint.FPRIME_CLIP), and alpha and d out of range
+# configs the schema refuses: four keys that did nothing (the f' clip is the constant
+# adjoint.FPRIME_CLIP; u_bound fed only a growth constant no code reads), and alpha
+# and d out of range
 REFUSED_CHANGES = {
     "noise-seed": lambda cfg: cfg["problem"]["noise"].update(seed=3),
+    "drift-u_bound": lambda cfg: cfg["problem"]["drift"].update(u_bound=2.0),
     "numerics-r": lambda cfg: cfg["numerics"].update(r=3.0),
     "numerics-clip": lambda cfg: cfg["numerics"].update({'clip': 1e3}),
     "alpha-half": lambda cfg: cfg["problem"]["noise"].update(alpha=0.5),
@@ -78,6 +80,19 @@ REFUSED_OVERRIDES = {
 }
 
 
+# command-line flags the schema's numerics fragments refuse, with the message
+REFUSED_FLAGS = {
+    "paths-1": (["--paths", "1"], "--paths 1: 1 is less than the minimum of 2"),
+    "paths-0": (["--paths", "0"], "--paths 0: 0 is less than the minimum of 2"),
+    "paths--3": (["--paths", "-3"], "--paths -3: -3 is less than the minimum of 2"),
+    "seed--1": (["--seed", "-1"], "--seed -1: -1 is less than the minimum of 0"),
+}
+
+# the subcommands that step paths on the collocation grid
+GRID_SUBCOMMANDS = ("simulate", "spike-orders", "cost-expansion", "adjoint-check",
+                    "smp-check", "optimize")
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -101,6 +116,15 @@ class TestConfigValidation:
         change(cfg)
         assert run("noise-check", str(write_config(tmp_path, cfg)), str(tmp_path / "out")) == 2
         assert "error: config invalid at " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, message", REFUSED_FLAGS.values(), ids=REFUSED_FLAGS)
+    def test_flags_refused_before_any_build(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.setattr(spdecontrol.cli, "build_problem", no_build)
+        cfg = write_config(tmp_path, {"problem": "lq-1d"})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, where", REFUSED_OVERRIDES.values(), ids=REFUSED_OVERRIDES)
@@ -302,6 +326,29 @@ class TestRunner:
         assert run(subcommand, str(cfg), str(out)) == 1
         assert json.loads((out / "manifest.json").read_text())["complete"] is False
         assert "wants at least 170 paths, got 50" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", GRID_SUBCOMMANDS)
+    def test_formula_only_domain_fails_before_simulation(self, tmp_path, monkeypatch,
+                                                         subcommand, capsys):
+        monkeypatch.setattr(spdecontrol.forward, "_exp_euler", no_simulation)
+        monkeypatch.setattr(spdecontrol.forward, "wiener_normals", no_simulation)
+        out = tmp_path / "out"
+        assert run(subcommand, str(write_config(tmp_path, BALL_NOISE_CONFIG)), str(out)) == 1
+        assert json.loads((out / "manifest.json").read_text())["complete"] is False
+        assert capsys.readouterr().err == (
+            f"error: {subcommand} needs a collocation grid, which a 'ball_formula_only' "
+            "domain does not have; noise-check and selftest run on it\n")
+
+    def test_optimize_stopped_at_once_records_one_control(self, tmp_path):
+        # with every cost weight 0 the gradient is 0, so descent stops before its first step
+        problem = dict(CATALOG["lq-1d"], n_steps=32, cost={
+            "kind": "quadratic", "state_weight": 0, "control_weight": 0, "terminal_weight": 0})
+        cfg = write_config(tmp_path, {"problem": problem, "numerics": {"seed": 3, "paths": 20}})
+        out = tmp_path / "out"
+        assert run("optimize", str(cfg), str(out)) == 0
+        assert (out / "descent.csv").read_text() == \
+            "iteration,J,stderr,grad_norm\n0,0,0,0\n"
+        assert json.loads((out / "optimize.json").read_text())["iterations"] == 0
 
     @pytest.mark.parametrize("subcommand", ["smp-check", "optimize"])
     def test_pathwise_commands_have_no_path_budget(self, tmp_path, subcommand, capsys):

@@ -276,24 +276,29 @@ class TestLQOracles:
             lq_optimal_control(problem)
 
 
+def counted(fn, calls):
+    """``fn``, appending the positional arguments of every call to ``calls``."""
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counting
+
+
 class TestOptimizer:
     def test_zero_cost_stops_immediately(self, monkeypatch):
         problem = catalog_problem("lq-1d", modes=8, n_steps=32, seed=66)
         problem.cost = zero_cost()
         control = constant_control_for(problem, 0.3)
-        ensembles, simulate = [], ctl.simulate_ensemble
-
-        def counting(*args, **kwargs):
-            ensembles.append(args)
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(ctl, "simulate_ensemble", counting)
+        ensembles, costs = [], []
+        monkeypatch.setattr(ctl, "simulate_ensemble", counted(ctl.simulate_ensemble, ensembles))
+        monkeypatch.setattr(ctl, "cost_of_ensemble", counted(ctl.cost_of_ensemble, costs))
         final, trace = optimize_control(problem, control, iterations=10, n_paths=120, seed=66)
         assert len(trace["grad_norm"]) == 1
         assert np.array_equal(final.values, control.values)
-        # the control did not move, so its one ensemble is the final one
-        assert len(ensembles) == 1
-        assert trace["J"] == [trace["J"][0]] * 2 and trace["ensemble"].control is final
+        # the control did not move, so its one ensemble is the final one, costed once
+        assert len(ensembles) == 1 and len(costs) == 1
+        assert len(trace["J"]) == len(trace["stderr"]) == 1
+        assert trace["ensemble"].control is final
 
     def test_lq_descent_reaches_oracle(self):
         # the exact closed-form cost of the delivered control must come
@@ -373,8 +378,7 @@ def collected_pathwise(problem, ens):
     p_values[:, -1] = problem.cost.terminal_gradient_coeffs(problem.domain, ens.modes[:, -1])
     for n, _, p in PathwiseAdjoint(problem, ens).nodes():
         p_values[:, n] = p
-    return AdjointSolution(domain=problem.domain, times=ens.times, p_values=p_values,
-                           ensemble=ens)
+    return AdjointSolution(times=ens.times, p_values=p_values, ensemble=ens)
 
 
 def stored_descent(problem, control, iterations, step_rule, n_paths, seed):

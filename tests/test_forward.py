@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import spdecontrol.forward
+from spdecontrol.adjoint import adjoint_to_binary, read_binary_adjoint
+from spdecontrol.control import catalog_problem
 from spdecontrol.errors import (ConfigurationError, InstabilityError, ShapeError)
 from spdecontrol.forward import (ControlProcess, _exp_euler, _exp_euler_nodes, constant_control,
                                  linearized_modes, read_binary_trajectory, simulate_ensemble,
                                  trajectory_to_binary, trajectory_to_csv, weight_cell_integrals)
-from spdecontrol.noise import (NoiseModel, aggregate_increments, convolution_increments,
-                               increment_scale, sample_convolution, wiener_normals)
+from spdecontrol.noise import (NoiseModel, PathRecord, aggregate_increments,
+                               convolution_increments, increment_scale, sample_convolution,
+                               wiener_normals)
 from spdecontrol.nonlinearity import ControlSpace, NemytskiiDrift, cubic_drift, linear_drift
 from spdecontrol.spectral import make_domain
 
@@ -35,7 +38,7 @@ class TestSimulateState:
         dom = make_domain(1, 16)
         noise = NoiseModel(dom, 0.5, 0.25, 1)
         ens = simulate_ensemble(dom, ZERO_DRIFT, noise, constant_control(SPACE, 0.0, 64),
-                                unit_mode(dom), 64, 1.0, 1, 0, normals=np.zeros((1, 64, 16)))
+                                unit_mode(dom), 1.0, 1, 0, normals=np.zeros((1, 64, 16)))
         assert ens.modes[0, -1, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert np.max(np.abs(ens.modes[0, -1, 1:])) == 0.0
 
@@ -46,7 +49,7 @@ class TestSimulateState:
         for n in (64, 128):
             ens = simulate_ensemble(dom, linear_drift(), noise,
                                     constant_control(SPACE, 0.0, n), unit_mode(dom),
-                                    n, 1.0, 1, 0, normals=np.zeros((1, n, 16)))
+                                    1.0, 1, 0, normals=np.zeros((1, n, 16)))
             errs.append(abs(ens.modes[0, -1, 0] - math.exp(-2.0)))
         assert errs[1] < errs[0]
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.25)
@@ -55,7 +58,7 @@ class TestSimulateState:
         dom = make_domain(1, 8)
         noise = NoiseModel(dom, 0.5, 0.25, 5)
         args = (dom, cubic_drift(), noise, constant_control(SPACE, 0.2, 32),
-                0.1 * unit_mode(dom), 32, 1.0, 3, 5)
+                0.1 * unit_mode(dom), 1.0, 3, 5)
         a, b = simulate_ensemble(*args), simulate_ensemble(*args)
         assert np.array_equal(a.modes, b.modes)
 
@@ -65,7 +68,7 @@ class TestSimulateState:
         noise = NoiseModel(dom, 0.5, 0.25, 9)
         x0 = 0.7 * unit_mode(dom) + 0.2 * unit_mode(dom, 3)
         ens = simulate_ensemble(dom, ZERO_DRIFT, noise, constant_control(SPACE, 0.0, 40),
-                                x0, 40, 1.0, 1, 9)
+                                x0, 1.0, 1, 9)
         conv = sample_convolution(dom, noise, 40, 1.0, (9, "wiener", 0))
         expected = x0 * np.exp(-np.outer(ens.times, dom.eigenvalues)) + conv.mode_coeffs
         assert np.max(np.abs(ens.modes[0] - expected)) < 1e-13
@@ -74,7 +77,18 @@ class TestSimulateState:
         dom = make_domain(1, 8)
         with pytest.raises(ConfigurationError):
             simulate_ensemble(dom, cubic_drift(a=1.0), NoiseModel(dom, 0.5, 0.25, 1),
-                              constant_control(SPACE, 0.0, 4), unit_mode(dom), 4, 8.0, 1, 0)
+                              constant_control(SPACE, 0.0, 4), unit_mode(dom), 8.0, 1, 0)
+
+    def test_problem_and_ensemble_refuse_one_step_count_alike(self):
+        # cubic-1d has beta = 1: on a horizon of 2.5, 3 steps are stable and 1 is not
+        problem = catalog_problem("cubic-1d", modes=8, n_steps=3, horizon=2.5)
+        with pytest.raises(ConfigurationError) as built:
+            catalog_problem("cubic-1d", modes=8, n_steps=1, horizon=2.5)
+        with pytest.raises(ConfigurationError) as simulated:
+            simulate_ensemble(problem.domain, problem.drift, problem.noise,
+                              constant_control(SPACE, 0.0, 1), problem.x0, 2.5, 1, 0)
+        assert str(built.value) == str(simulated.value) == \
+            "dt*beta = 2.5 must stay below 1; raise n_steps above 2 or weaken the drift"
 
     # one state path, and a batch of two
     @pytest.mark.parametrize("n_paths", [1, 2], ids=["state", "ensemble"])
@@ -88,7 +102,7 @@ class TestSimulateState:
         with pytest.raises(InstabilityError) as err:
             # the route spike reruns take: stored normals of a base ensemble
             simulate_ensemble(dom, growth, noise, constant_control(SPACE, 0.0, 64),
-                              unit_mode(dom), 64, 1.0, n_paths, 0,
+                              unit_mode(dom), 1.0, n_paths, 0,
                               normals=np.zeros((n_paths, 64, 8)))
         assert err.value.step is not None and err.value.step > 0
 
@@ -100,7 +114,7 @@ class TestSimulateState:
         normals[-1, 15, 0] = 1e10     # step 15 of 16 fills node 16 on the last path
         with pytest.raises(InstabilityError, match="at step 16") as err:
             simulate_ensemble(dom, ZERO_DRIFT, noise, constant_control(SPACE, 0.0, 16),
-                              unit_mode(dom), 16, 1.0, n_paths, 0, normals=normals)
+                              unit_mode(dom), 1.0, n_paths, 0, normals=normals)
         assert err.value.step == 16
 
     def test_collected_nodes_and_the_guard_of_a_later_start(self):
@@ -133,7 +147,7 @@ class TestSimulateState:
         noise = NoiseModel(dom, 0.5, 0.25, 1)
         x0 = dom.to_coeffs(0.9 * np.sin(dom.collocation_points[:, 0]))
         ens = simulate_ensemble(dom, drift, noise, constant_control(SPACE, 0.0, 128),
-                                x0, 128, 1.0, 1, 0, normals=np.zeros((1, 128, 64)))
+                                x0, 1.0, 1, 0, normals=np.zeros((1, 128, 64)))
         sups = dom.sup_norm(ens.modes[0])
         assert np.all(np.diff(sups) <= 1e-12)
 
@@ -165,12 +179,6 @@ class TestSimulateState:
         ratio = math.sqrt(sq_errs[32] / sq_errs[64])
         assert ratio > 1.8   # at least first order in dt
 
-    def test_control_length_mismatch(self):
-        dom = make_domain(1, 4)
-        with pytest.raises(ShapeError):
-            simulate_ensemble(dom, ZERO_DRIFT, NoiseModel(dom, 0.5, 0.25, 1),
-                              constant_control(SPACE, 0.0, 5), unit_mode(dom), 8, 1.0, 1, 0)
-
 
 class TestEnsemble:
     def test_normals_shape_mismatch(self):
@@ -180,13 +188,13 @@ class TestEnsemble:
         ctrl = constant_control(SPACE, 0.1, 16)
         with pytest.raises(ShapeError):
             simulate_ensemble(dom, cubic_drift(), noise, ctrl, 0.2 * unit_mode(dom),
-                              16, 1.0, 3, 17, normals=np.zeros((3, 8, 8)))
+                              1.0, 3, 17, normals=np.zeros((3, 8, 8)))
 
     def test_x0_shape_mismatch(self):
         dom = make_domain(1, 8)
         with pytest.raises(ShapeError):
             simulate_ensemble(dom, cubic_drift(), NoiseModel(dom, 0.5, 0.25, 1),
-                              constant_control(SPACE, 0.0, 4), np.zeros(9), 4, 1.0, 2, 0)
+                              constant_control(SPACE, 0.0, 4), np.zeros(9), 1.0, 2, 0)
 
 
 class TestAuxiliary:
@@ -199,7 +207,7 @@ class TestAuxiliary:
         noise = NoiseModel(dom, 0.5, 0.25, seed)
         ctrl = constant_control(SPACE, 0.0, n_steps)
         base = simulate_ensemble(dom, drift, noise, ctrl, 0.3 * unit_mode(dom),
-                                 n_steps, 1.0, self.N_PATHS, seed)
+                                 1.0, self.N_PATHS, seed)
         return dom, noise, base
 
     @staticmethod
@@ -280,7 +288,7 @@ class TestExports:
         dom = make_domain(1, 6)
         noise = NoiseModel(dom, 0.5, 0.25, 2)
         traj = simulate_ensemble(dom, ZERO_DRIFT, noise, constant_control(SPACE, 0.0, 8),
-                                 np.arange(6.0), 8, 0.5, 1, 2).trajectory(0)
+                                 np.arange(6.0), 0.5, 1, 2).trajectory(0)
         csv_path = tmp_path / "traj.csv"
         bin_path = tmp_path / "traj.bin"
         trajectory_to_csv(traj, csv_path)
@@ -293,6 +301,25 @@ class TestExports:
         horizon, data = read_binary_trajectory(bin_path)
         assert horizon == 0.5
         assert np.array_equal(data, traj.mode_coeffs)
+
+    @pytest.mark.parametrize("write, read", [(trajectory_to_binary, read_binary_trajectory),
+                                             (adjoint_to_binary, read_binary_adjoint)],
+                             ids=["SPDT", "SPDA"])
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: data[:-8], "holds 112 matrix bytes"),
+        (lambda data: data + bytes(8), "holds 128 matrix bytes"),
+        (lambda data: data[:12], "truncated inside its header"),
+        (lambda data: b"SPDX" + data[4:], "not a")], ids=["short", "trailing", "header", "magic"])
+    def test_damaged_snapshot_is_refused(self, tmp_path, write, read, damage, message):
+        record = PathRecord(times=np.linspace(0.0, 0.5, 5),
+                            mode_coeffs=np.arange(15.0).reshape(5, 3))
+        path = tmp_path / "snapshot.bin"
+        write(record, path)
+        horizon, data = read(path)
+        assert horizon == 0.5 and np.array_equal(data, record.mode_coeffs)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ConfigurationError, match=message):
+            read(path)
 
     def test_control_validation(self):
         with pytest.raises(ConfigurationError):

@@ -62,7 +62,7 @@ def _linear_base(n_steps=128, modes=16, seed=4, u0=0.0, n_paths=2):
     noise = NoiseModel(dom, 0.5, 0.25, seed)
     ctrl = constant_control(SPACE, u0, n_steps)
     base = simulate_ensemble(dom, linear_drift(), noise, ctrl, np.zeros(modes),
-                             n_steps, 1.0, n_paths, seed)
+                             1.0, n_paths, seed)
     return dom, base
 
 
