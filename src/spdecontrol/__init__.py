@@ -18,6 +18,5 @@ from .variation import SpikeConfig, spike_order_study, cost_expansion_check
 from .adjoint import (AdjointSolution, PathwiseAdjoint, RegressionSpec,
                       solve_adjoint_regression, duality_residual, weighted_norm_report)
 from .control import (Measure, CostSpec, ControlProblem, quadratic_cost,
-                      catalog_problem, hamiltonian,
-                      check_maximum_principle, optimize_control,
+                      catalog_problem, check_maximum_principle, optimize_control,
                       lq_optimal_control, lq_adjoint_oracle)

@@ -2,10 +2,10 @@
 
 The backward recursion is the exact algebraic transpose of the forward
 exponential-Euler step.  ``_backward_nodes`` is its one loop: it yields the
-nodes n = n_steps - 1 ... 0 one at a time, each with p_n, the state field
-it took for f' and what a collector needs, and raises ``InstabilityError``
-at the first node whose p is not finite.  Only the conditional expectation
-of each step's target varies:
+nodes n = n_steps - 1 ... 0 one at a time, each with p_n and what a
+collector needs, and raises ``InstabilityError`` at the first node whose p
+is not finite.  Only the conditional expectation of each step's target
+varies:
 
 - a ``RegressionSpec``: least-squares Monte Carlo (Longstaff-Schwartz
   style) on basis functions of the current state's mode coefficients.  Its
@@ -176,16 +176,15 @@ class AdjointSolution:
         return PathRecord(times=self.times, mode_coeffs=self.p_values[i])
 
     def nodes(self):
-        """The stored p rows as (n, None, p_n) for n = 0 ... n_steps - 1; no field is kept."""
+        """The stored p rows as (n, p_n) for n = 0 ... n_steps - 1."""
         for n in range(self.p_values.shape[1] - 1):
-            yield n, None, self.p_values[:, n]
+            yield n, self.p_values[:, n]
 
 
 class _BackwardNode(NamedTuple):
     """One node of the backward loop: p_n and what produced it."""
 
     step: int
-    state_field: Optional[np.ndarray]  # to_field of the state node, taken for f' (or None)
     p: np.ndarray                      # p_n (P, N), forcing included
     fit: Optional[_StepRegressor]      # None on the pathwise loop
     target: np.ndarray                 # the step's target, before conditioning
@@ -227,10 +226,9 @@ def _backward_nodes(domain: SpectralDomain, ensemble: EnsembleStates, drift,
     for n in range(modes.shape[1] - 2, -1, -1):
         state = modes[:, n]
         target = decay * p_next
-        state_field, clip_rate = None, 0.0
+        clip_rate = 0.0
         if fprime_active:
-            state_field = domain.to_field(state)
-            mult = np.asarray(drift.f_prime(state_field, control_values[n]), dtype=float)
+            mult = np.asarray(drift.f_prime(domain.to_field(state), control_values[n]), dtype=float)
             clipped = np.clip(mult, -FPRIME_CLIP, FPRIME_CLIP)
             clip_rate = float(np.mean(clipped != mult))
             target = target + domain.to_coeffs(clipped * domain.to_field(wdrift * p_next))
@@ -238,7 +236,7 @@ def _backward_nodes(domain: SpectralDomain, ensemble: EnsembleStates, drift,
         fitted = target if fit is None else fit.fit_predict(target)
         p = fitted if forcing_fn is None else fitted + wdrift * forcing_fn(n, state)
         _check_finite(p, n)
-        yield _BackwardNode(n, state_field, p, fit, target, fitted, clip_rate)
+        yield _BackwardNode(n, p, fit, target, fitted, clip_rate)
         p_next = p
 
 
@@ -311,10 +309,8 @@ class PathwiseAdjoint:
     each step's target kept per path: exact for E<p_t, G(X_t)> with G known
     at time t, which is all the Hamiltonian gap and the control gradient
     take from the adjoint.  It has no path budget and no q.
-    ``nodes()`` runs the backward loop and yields (n, state_field, p~_n), the
-    state node's collocation values the loop took for f' and p~ there, so a
-    consumer that evaluates the Hamiltonian transforms no state node again.
-    Each call runs the loop afresh.
+    ``nodes()`` runs the backward loop and yields (n, p~_n); each call runs
+    the loop afresh.
     """
 
     problem: ControlProblem
@@ -327,7 +323,7 @@ class PathwiseAdjoint:
         p_terminal = _terminal_row(terminal, n_paths, n_modes, n_plus - 1)
         for node in _backward_nodes(problem.domain, ens, problem.drift, p_terminal, forcing_fn,
                                     spec=None):
-            yield node.step, node.state_field, node.p
+            yield node.step, node.p
 
 
 def solve_adjoint_regression(problem, ensemble: EnsembleStates,

@@ -26,11 +26,13 @@ from . import __version__
 from .adjoint import (PathwiseAdjoint, RegressionSpec, adjoint_to_binary, diagnostics_to_json,
                       duality_residual, solve_adjoint_regression, weighted_norm_report)
 from .control import (CATALOG, CATALOG_OVERRIDES, ControlProblem, catalog_problem,
-                      check_maximum_principle, constant_control_for, cost_of_ensemble,
-                      lq_optimal_control, optimize_control, problem_from_spec)
+                      check_maximum_principle, constant_control_for, control_coefficients,
+                      cost_of_ensemble, gap_report, lq_optimal_control, optimize_control,
+                      problem_from_spec)
 from .errors import ConfigurationError, GridError, SpdeControlError
 from .forward import ControlProcess, trajectory_to_binary, trajectory_to_csv
 from .noise import NoiseModel, sample_convolution, series_condition_v, supnorm_moment_study, trace_summand
+from .rng import MAX_SEED
 from .spectral import DomainKind, make_domain, regularity_threshold, semigroup_apply
 from .variation import cost_expansion_check, spike_order_study
 
@@ -133,7 +135,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": {"type": "integer", "minimum": 0, "maximum": MAX_SEED},
                 "paths": {"type": "integer", "minimum": 2},
                 "r_prime": {"type": "number", "exclusiveMinimum": 1, "exclusiveMaximum": 2},
                 "sobolev_s": {"type": "number"},
@@ -426,14 +428,13 @@ def _run_optimize(problem, seed, paths, num, study, out: Path) -> list[Path]:
                                     step_rule=study.get("step", 0.5),
                                     n_paths=paths, seed=seed)
     rows = [{"iteration": i, "J": trace["J"][i], "stderr": trace["stderr"][i],
-             "grad_norm": trace["grad_norm"][i] if i < len(trace["grad_norm"]) else 0.0}
-            for i in range(len(trace["J"]))]
+             "grad_norm": trace["grad_norm"][i]} for i in range(len(trace["J"]))]
     write_csv(out / "descent.csv", ["iteration", "J", "stderr", "grad_norm"], rows)
     write_csv(out / "control.csv", ["step", "u"],
               [{"step": n, "u": final.values[n]} for n in range(len(final))])
 
-    report = check_maximum_principle(problem, PathwiseAdjoint(problem, trace["ensemble"]),
-                                     tol=study.get("tol", 1e-2))
+    report = gap_report(trace["ensemble"], trace["adjoint_mean"], *control_coefficients(problem),
+                        tol=study.get("tol", 1e-2))
     write_json(out / "optimize.json", {
         "J_initial": trace["J"][0], "J_final": trace["J"][-1],
         "iterations": len(trace["J"]) - 1,

@@ -1,5 +1,5 @@
-"""Cost functionals, the Hamiltonian, optimality diagnostics and a descent
-optimizer used to manufacture near-optimal control/trajectory pairs.
+"""Cost functionals, the maximum-principle check and a descent optimizer
+used to manufacture near-optimal control/trajectory pairs.
 
 Costs are of composition type: a scalar density integrated over the domain
 against either the Lebesgue measure or a finite combination of point
@@ -9,8 +9,9 @@ and is evaluated by spectral reconstruction at the points).
 Controls here are deterministic piecewise-constant processes; the
 Hamiltonian inequality is therefore checked in ensemble-averaged form,
 which is also what the spike-variation argument yields for this class.
-One batched evaluator, ``hamiltonian``, gives both H (for that check) and
-d_u H (the descent direction of the optimizer).
+Every drift is f0(sigma) + b u and every running cost L0 + kappa u^2, so
+the gap and d_u H (the optimizer's descent direction) take p only through
+m_t = E<p_t, c_1> (``control_coefficients``, ``control_pairings``).
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ class Measure:
 class CostSpec:
     """Running density l(t, sigma, u) and terminal density g(sigma).
 
-    All densities are vectorized in sigma.  ``running_du`` is only needed
-    by the descent optimizer.  The growth constants bound |d_sigma l| and
-    |g'| by K (1 + |sigma|^k) and are spot-checked by the test suite.
+    All densities are vectorized in sigma.  The growth constants bound
+    |d_sigma l| and |g'| by K (1 + |sigma|^k) and are spot-checked by the
+    test suite.
     """
 
     running: Callable                   # (t, sigma, u) -> density
@@ -79,26 +80,20 @@ class CostSpec:
     measure: Measure
     growth_degree: int = 1
     growth_const: float = 1.0
-    running_du: Optional[Callable] = None
 
     # -- measure integrals, vectorized over a path batch -------------------
 
-    def integrate(self, domain: SpectralDomain, modes: np.ndarray, density,
-                  state_field: Optional[np.ndarray] = None) -> np.ndarray:
+    def integrate(self, domain: SpectralDomain, modes: np.ndarray, density) -> np.ndarray:
         """integral density(X(xi)) mu(dxi) for each path; modes is (P, N).
 
         The Lebesgue quadrature pairs the interior collocation sum with the
         boundary nodes, where the state vanishes (Dirichlet), so constant
-        densities integrate exactly to their measure-pi^d value; it takes
-        ``state_field``, the collocation values of ``modes``, when the
-        caller has them.  Leading axes the density adds (one per control
-        value) stay before the paths.
+        densities integrate exactly to their measure-pi^d value.  Leading
+        axes the density adds (one per control value) stay before the paths.
         """
         modes = np.atleast_2d(modes)
         if self.measure.kind == "lebesgue":
-            if state_field is None:
-                state_field = domain.to_field(modes)
-            interior = domain.quad_weight * np.sum(density(state_field), axis=-1)
+            interior = np.sum(density(domain.to_field(modes)), axis=-1) * domain.quad_weight
             boundary_mass = math.pi ** domain.dimension - \
                 domain.quad_weight * domain.n_modes_per_axis ** domain.dimension
             return interior + boundary_mass * np.asarray(density(np.zeros(1)), dtype=float)[..., 0]
@@ -137,7 +132,6 @@ def quadratic_cost(measure: Measure, control_weight: float = 0.5,
     return CostSpec(
         running=lambda t, s, u: state_weight * s**2 + control_weight * u**2,
         running_dsigma=lambda t, s, u: 2.0 * state_weight * s,
-        running_du=lambda t, s, u: 2.0 * control_weight * u * np.ones_like(np.asarray(s, dtype=float)),
         terminal=lambda s: terminal_weight * s**2,
         terminal_dsigma=lambda s: 2.0 * terminal_weight * s,
         measure=measure,
@@ -292,44 +286,79 @@ def cost_of_ensemble(problem: ControlProblem, ens: EnsembleStates) -> np.ndarray
     return total + cost.terminal_value(domain, ens.modes[:, -1])
 
 
-# -- Hamiltonian and the maximum-principle check ---------------------------------
+# -- the control-affine Hamiltonian and the maximum-principle check ---------------
 
-def hamiltonian(problem: ControlProblem, t: float, modes: np.ndarray, p: np.ndarray,
-                u, *, u_derivative: bool = False,
-                state_field: Optional[np.ndarray] = None) -> np.ndarray:
-    """H(t, u, X, p) = L(t, X, u) + <p, F(X, u)> per path in truncated coordinates.
+def control_coefficients(problem: ControlProblem) -> tuple[float, float]:
+    """(b, kappa) of a drift f0(sigma) + b u and a running cost L0(t, X) + kappa u^2.
 
-    ``modes`` and ``p`` are (P, N) coefficient batches.  A scalar ``u``
-    gives a (P,) result; a (V,) array of control values gives (V, P), all
-    values sharing one transform of the state.  ``u_derivative=True``
-    returns d_u H = d_u L + <p, d_u F>, the descent direction, instead.
-
-    The pairing is taken on the collocation grid: ``to_coeffs`` is
-    ``quad_weight * to_field^T`` (on the dense and on the DST-I path), so
-    <p, to_coeffs(f)> = quad_weight * sum_j to_field(p)_j f(sigma_j, u), and
-    one P-row transform of p replaces the analysis of the (V, P) reaction.
-    ``state_field``, the collocation values of ``modes`` when the caller
-    already has them, serves the reaction and the cost integral; without it
-    the state is transformed here, once, to the same values.
+    b is read from ``drift.f_u`` and kappa = int [l(t, 0, 1) - l(t, 0, 0)] dmu
+    from ``cost.running``.  Both are spot-checked at u in {-1, 1/2, 1}, at
+    the states 0 and x0 and at t in {0, T}, to 1e-12 relative; a drift or
+    cost of any other form raises ``ConfigurationError``, before any sweep.
     """
-    domain, cost, drift = problem.domain, problem.cost, problem.drift
-    modes, p = np.asarray(modes, dtype=float), np.asarray(p, dtype=float)
-    if modes.ndim != 2 or modes.shape[1] != domain.n_modes or p.shape != modes.shape:
-        raise ShapeError(f"modes and p must both be (P, {domain.n_modes}) coefficient batches")
-    if state_field is None:
-        state_field = domain.to_field(modes)
-    elif np.shape(state_field) != modes.shape:
-        raise ShapeError(f"state_field must have the shape {modes.shape} of modes")
-    density, reaction = (cost.running_du, drift.f_u) if u_derivative else (cost.running, drift.f)
-    if density is None or reaction is None:
-        raise ConfigurationError("d_u H needs d_u l and d_u f; catalog problems have both")
-    u = np.asarray(u, dtype=float)
-    u_grid = u[..., None, None]                 # broadcasts against the (P, N) field
-    reaction_values = reaction(state_field, u_grid)
-    pairing = domain.quad_weight * np.einsum("...pj,pj->...p", reaction_values,
-                                             domain.to_field(p))
-    h = cost.integrate(domain, modes, lambda s: density(t, s, u_grid), state_field)
-    return np.broadcast_to(h + pairing, u.shape + modes.shape[:1])
+    domain, drift, cost = problem.domain, problem.drift, problem.cost
+    if drift.f_u is None:
+        raise ConfigurationError("the control-affine Hamiltonian needs the drift's d_u f")
+    states = np.stack([np.zeros(domain.n_modes), problem.x0])
+    fields = domain.to_field(states)
+    u = np.array([-1.0, 0.5, 1.0])[:, None, None]     # broadcasts against the (2, N) states
+
+    def agrees(value, expected, *terms):
+        return bool(np.all(np.abs(value - expected) <= 1e-12 * sum(map(np.abs, terms))))
+
+    b = float(np.asarray(drift.f_u(fields[:1], 0.0), dtype=float).flat[0])
+    f_v, f_0 = drift.f(fields, u), drift.f(fields, 0.0)
+    if not agrees(f_v - f_0, b * u, f_v, f_0):
+        raise ConfigurationError(f"drift {drift.name!r} is not f0(sigma) + b u; "
+                                 "the Hamiltonian gap has no closed form")
+    kappa = float(cost.integrate(domain, states[:1], lambda s: cost.running(0.0, s, 1.0)
+                                 - cost.running(0.0, s, 0.0))[0])
+    for t in (0.0, problem.horizon):
+        l_v, l_0 = (cost.running_value(domain, t, states, v) for v in (u, 0.0))
+        if not agrees(l_v - l_0, kappa * u[..., 0] ** 2, l_v, l_0):
+            raise ConfigurationError("running cost is not L0(t, X) + kappa u^2; "
+                                     "the Hamiltonian gap has no closed form")
+    return b, kappa
+
+
+def control_pairings(domain: SpectralDomain, nodes):
+    """(n, s_n) for each node (n, p_n) of a ``nodes()`` stream, s_n = <p_n, c_1> per path.
+
+    c_1, ``to_coeffs`` of the field 1, pairs p with the forcing b u c_1; ``np.einsum``
+    sums outside BLAS, so the bytes do not depend on the thread count.
+    """
+    c1 = domain.ones_coeffs()
+    for n, p in nodes:
+        yield n, np.einsum("pj,j->p", p, c1)
+
+
+def _adjoint_mean(domain: SpectralDomain, solution) -> np.ndarray:
+    """m_n = E<p_n, c_1> at each grid node n of ``solution.nodes()``."""
+    mean = np.empty(len(solution.ensemble.control))
+    for n, s in control_pairings(domain, solution.nodes()):
+        mean[n] = s.mean()
+    return mean
+
+
+def gap_report(ensemble: EnsembleStates, adjoint_mean: np.ndarray, b: float, kappa: float,
+               v_samples: Optional[np.ndarray] = None, tol: float = 1e-3) -> dict:
+    """The maximum-principle report of ``ensemble`` from its m_t and ``control_coefficients``:
+    gap(t, v) = kappa (v^2 - u_t^2) + b (v - u_t) m_t at each grid node t and ``v_samples`` v."""
+    if v_samples is None:
+        v_samples = ensemble.control.space.sample(21)
+    v = np.asarray(v_samples, dtype=float)[None, :]
+    u = ensemble.control.values[:, None]
+    gaps = kappa * (v**2 - u**2) + b * (v - u) * adjoint_mean[:, None]
+    worst = np.unravel_index(np.argmin(gaps), gaps.shape)
+    return {
+        "min_gap": float(gaps.min()),
+        "argmin_t": float(ensemble.times[worst[0]]),
+        "argmin_v": float(v[0, worst[1]]),
+        "fraction_violating": float(np.mean(gaps < -tol)),
+        "tol": tol,
+        "gaps": gaps,
+        "v_samples": v[0],
+    }
 
 
 def check_maximum_principle(problem: ControlProblem,
@@ -340,34 +369,17 @@ def check_maximum_principle(problem: ControlProblem,
 
     gap(t, v) = E[H(t, v, X_t, p_t) - H(t, u_t, X_t, p_t)], with u, X and p
     those of the sweep's forward ensemble; at an optimal control every gap
-    is nonnegative up to Monte Carlo noise.  The control is deterministic,
-    so the gap takes p only through E<p_t, G(X_t)> with G known at time t,
-    and a regression and a pathwise sweep estimate the same gaps.  The
-    gaps are taken node by node from ``solution.nodes()``: a stored
-    ``AdjointSolution`` replays its p rows, a ``PathwiseAdjoint`` streams
-    p~_n with the state field its loop took, and stores no p.
+    is nonnegative up to Monte Carlo noise.  By ``control_coefficients`` the
+    gap takes p only through m_t = E<p_t, c_1> (``gap_report``), so a
+    regression and a pathwise sweep estimate the same gaps.  m_t is taken
+    node by node from ``solution.nodes()``: a stored ``AdjointSolution``
+    replays its p rows, a ``PathwiseAdjoint`` streams p~_n and stores no p.
     """
-    if v_samples is None:
-        v_samples = problem.control_space.sample(21)
     ens = solution.ensemble
     if ens is None:
         raise ConfigurationError("adjoint solution does not reference its forward ensemble")
-    u = ens.control.values
-    gaps = np.empty((u.size, len(v_samples)))
-    for n, state_field, p in solution.nodes():
-        h = hamiltonian(problem, ens.times[n], ens.modes[:, n], p,
-                        np.concatenate([[u[n]], v_samples]), state_field=state_field)
-        gaps[n] = np.mean(h[1:] - h[0], axis=1)
-    worst = np.unravel_index(np.argmin(gaps), gaps.shape)
-    return {
-        "min_gap": float(gaps.min()),
-        "argmin_t": float(ens.times[worst[0]]),
-        "argmin_v": float(v_samples[worst[1]]),
-        "fraction_violating": float(np.mean(gaps < -tol)),
-        "tol": tol,
-        "gaps": gaps,
-        "v_samples": np.asarray(v_samples, dtype=float),
-    }
+    b, kappa = control_coefficients(problem)
+    return gap_report(ens, _adjoint_mean(problem.domain, solution), b, kappa, v_samples, tol)
 
 
 # -- descent optimizer -----------------------------------------------------------
@@ -381,36 +393,30 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
                      seed: Optional[int] = None) -> tuple[ControlProcess, dict]:
     """Projected gradient descent on piecewise-constant controls, fixed step ``step_rule``.
 
-    The descent direction is the adjoint-based Hamiltonian gradient
-    d_u H = d_u L + <p, d_u F>, with p the pathwise p~ streamed node by node
-    from a ``PathwiseAdjoint``.  Iterations share one set of noise streams
-    (common random numbers), drawn by the first ensemble, so the recorded
-    costs are comparable; each ensemble is dropped, its normals kept, before
-    the next is simulated.  Descent stops after ``iterations`` steps, or
-    early once the gradient norm falls below ``GRAD_TOL``.  The trace holds
-    "J" and "stderr" for each control visited, one more than the steps
-    taken; "grad_norm" for each gradient taken; and, as "ensemble", the
-    ensemble under the returned control, so a caller need not simulate it
-    again.
+    The descent direction is d_u H = 2 kappa u_t + b m_t, with m_t the mean
+    of <p~_t, c_1> over the pathwise p~ streamed from a ``PathwiseAdjoint``.
+    Iterations share one set of noise streams (common random numbers),
+    drawn by the first ensemble, so the recorded costs are comparable; each
+    ensemble is dropped, its normals kept, before the next is simulated.
+    Descent stops after ``iterations`` steps, or early once the gradient
+    norm falls below ``GRAD_TOL``.  Each control visited, the returned one
+    included, is costed and swept once: the trace holds "J", "stderr" and
+    "grad_norm" for each, and the returned control's "ensemble" and
+    "adjoint_mean" m_t, for ``gap_report`` to certify without a new sweep.
     """
-    if problem.drift.f_u is None or problem.cost.running_du is None:
-        raise ConfigurationError("optimizer needs d_u f and d_u l; catalog problems have both")
+    b, kappa = control_coefficients(problem)
     seed = seed if seed is not None else problem.noise.seed
     dt = problem.horizon / len(control)
 
     trace = {"J": [], "stderr": [], "grad_norm": []}
-
-    def record(ens):
-        costs = cost_of_ensemble(problem, ens)
-        trace["J"].append(float(costs.mean()))
-        trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
-
     non_decreasing = 0
     ctrl = ControlProcess(values=control.values.copy(), space=problem.control_space)
     ens = problem.ensemble(ctrl, n_paths, seed)
-    record(ens)
-    for m in range(iterations):
-        if m > 0 and trace["J"][-1] >= trace["J"][-2]:
+    for step in range(iterations + 1):
+        costs = cost_of_ensemble(problem, ens)
+        trace["J"].append(float(costs.mean()))
+        trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
+        if step > 0 and trace["J"][-1] >= trace["J"][-2]:
             non_decreasing += 1
             if non_decreasing >= 5:
                 warnings.warn("cost failed to decrease for 5 consecutive iterations; "
@@ -419,29 +425,19 @@ def optimize_control(problem: ControlProblem, control: ControlProcess,
         else:
             non_decreasing = 0
 
-        grad = _control_gradient(problem, ens)
+        mean = _adjoint_mean(problem.domain, PathwiseAdjoint(problem, ens))
+        grad = 2.0 * kappa * ctrl.values + b * mean
         gnorm = float(np.sqrt(np.sum(grad**2) * dt))
         trace["grad_norm"].append(gnorm)
-        if gnorm < GRAD_TOL:
+        if gnorm < GRAD_TOL or step == iterations:
             break
         values = problem.control_space.project(ctrl.values - step_rule * grad)
         ctrl = ControlProcess(values=values, space=problem.control_space)
         normals = ens.normals
         del ens     # its modes go before the next ensemble's are built
         ens = problem.ensemble(ctrl, n_paths, seed, normals=normals)
-        record(ens)
-    trace["ensemble"] = ens
+    trace["ensemble"], trace["adjoint_mean"] = ens, mean
     return ctrl, trace
-
-
-def _control_gradient(problem: ControlProblem, ens: EnsembleStates) -> np.ndarray:
-    """Ensemble mean of d_u H at each grid node, from the streamed pathwise p~."""
-    values = ens.control.values
-    grad = np.empty(values.size)
-    for n, state_field, p in PathwiseAdjoint(problem, ens).nodes():
-        grad[n] = np.mean(hamiltonian(problem, ens.times[n], ens.modes[:, n], p, values[n],
-                                      u_derivative=True, state_field=state_field))
-    return grad
 
 
 # -- oracles for the linear-quadratic instance ------------------------------------

@@ -26,7 +26,7 @@ class NemytskiiDrift:
     growth_degree: int              # |f| + |f'| <= C (1 + |sigma|^k)
     growth_const: float
     dissipativity_bound: float      # beta with f' <= beta everywhere
-    f_u: Optional[Callable] = None  # d f / d u, when available
+    f_u: Optional[Callable] = None  # d f / d u, the constant gain b of f = f0(sigma) + b u
     name: str = "custom"
 
 

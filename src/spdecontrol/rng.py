@@ -11,17 +11,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 # Stable integer tags for the independent stream families.
 STREAM_TAGS = {
     "wiener": 1,      # driving cylindrical Wiener increments
     "moment": 2,      # sup-norm moment studies
 }
+# root seeds are the unsigned 64-bit integers
+MAX_SEED = 2**64 - 1
 
 
 def seed_sequence(root_seed: int, tag: str, path_index: int = 0) -> np.random.SeedSequence:
     if tag not in STREAM_TAGS:
         raise KeyError(f"unknown stream tag {tag!r}; known: {sorted(STREAM_TAGS)}")
-    return np.random.SeedSequence(entropy=int(root_seed) & (2**64 - 1),
+    if not 0 <= int(root_seed) <= MAX_SEED:
+        raise ConfigurationError(f"root seed must lie in [0, 2**64 - 1], got {root_seed}")
+    return np.random.SeedSequence(entropy=int(root_seed),
                                   spawn_key=(STREAM_TAGS[tag], int(path_index)))
 
 

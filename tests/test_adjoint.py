@@ -271,7 +271,7 @@ class TestPathwiseSweep:
         problem, ens = lq_ensemble
         fitted = solve_adjoint_regression(problem, ens, compute_q=False)
         steps = []
-        for n, _, p in PathwiseAdjoint(problem, ens).nodes():
+        for n, p in PathwiseAdjoint(problem, ens).nodes():
             steps.append(n)
             fitted_mean = fitted.p_mean[n]
             assert (np.max(np.abs(p.mean(axis=0) - fitted_mean))
@@ -294,7 +294,7 @@ class TestPathwiseSweep:
         for seed in seeds:
             ens = problem.ensemble(control, n_paths, seed)
             m = np.empty((n_paths, problem.n_steps))   # p~ vanishes at T: no terminal cost
-            for n, _, p in PathwiseAdjoint(problem, ens).nodes():
+            for n, p in PathwiseAdjoint(problem, ens).nodes():
                 m[:, n] = p @ c1
             means.append(m.mean(axis=0))
             variances.append(m.var(axis=0, ddof=1) / n_paths)

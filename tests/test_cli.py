@@ -86,6 +86,8 @@ REFUSED_FLAGS = {
     "paths-0": (["--paths", "0"], "--paths 0: 0 is less than the minimum of 2"),
     "paths--3": (["--paths", "-3"], "--paths -3: -3 is less than the minimum of 2"),
     "seed--1": (["--seed", "-1"], "--seed -1: -1 is less than the minimum of 0"),
+    "seed-2**64": (["--seed", str(2**64)], f"--seed {2**64}: {2**64} is greater than the "
+                   f"maximum of {2**64 - 1}"),
 }
 
 # the subcommands that step paths on the collocation grid
@@ -396,6 +398,25 @@ class TestStudyCallCounts:
         cfg = write_config(tmp_path, dict(self.LQ, study=study))
         assert run("adjoint-check", str(cfg), str(tmp_path / "out")) == 0
         assert (len(ensembles), len(sweeps)) == (expected, expected)
+
+    # every cost weight 0: the gradient is 0, and descent stops on GRAD_TOL at its start
+    ZERO_WEIGHTS = {"problem": dict(CATALOG["lq-1d"], n_steps=32, cost={
+        "kind": "quadratic", "state_weight": 0, "control_weight": 0, "terminal_weight": 0}),
+        "numerics": LQ["numerics"]}
+
+    @pytest.mark.parametrize("config, expected", [(LQ, 4), (ZERO_WEIGHTS, 1)],
+                             ids=["full-run", "grad-tol-stop"])
+    def test_optimize_sweeps_each_ensemble_once(self, tmp_path, monkeypatch, config, expected):
+        ensembles = count_calls(monkeypatch, spdecontrol.forward, "simulate_ensemble")
+        sweeps = count_calls(monkeypatch, spdecontrol.adjoint, "_backward_nodes")
+        cfg = write_config(tmp_path, dict(config, study={"iterations": 3}))
+        assert run("optimize", str(cfg), str(tmp_path / "out")) == 0
+        assert (len(ensembles), len(sweeps)) == (expected, expected)
+        # the certificate reuses the last sweep, and every descent.csv row has its gradient
+        rows = (tmp_path / "out" / "descent.csv").read_text().splitlines()[1:]
+        grad_norms = [float(row.split(",")[-1]) for row in rows]
+        assert len(grad_norms) == expected
+        assert all(g > 0 for g in grad_norms) if config is self.LQ else grad_norms == [0.0]
 
     def test_optimize_draws_normals_once(self, tmp_path, monkeypatch):
         iterations = 3

@@ -7,15 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
+import spdecontrol.adjoint as adj
 import spdecontrol.control as ctl
 from spdecontrol.adjoint import AdjointSolution, PathwiseAdjoint, solve_adjoint_regression
 from spdecontrol.cli import _run_smp_check
 from spdecontrol.control import (CATALOG, ControlProblem, CostSpec, Measure, catalog_problem,
                                  check_maximum_principle, constant_control_for,
-                                 cost_of_ensemble, hamiltonian,
+                                 control_coefficients, control_pairings, cost_of_ensemble,
                                  lq_exact_cost, lq_optimal_control, optimize_control,
                                  sine_profile_coeffs)
-from spdecontrol.errors import ConfigurationError, ShapeError
+from spdecontrol.errors import ConfigurationError
 from spdecontrol.forward import ControlProcess
 from spdecontrol.noise import NoiseModel
 from spdecontrol.nonlinearity import ControlSpace, NemytskiiDrift
@@ -23,10 +24,8 @@ from spdecontrol.spectral import DENSE_TRANSFORM_MAX_MODES, make_domain
 
 
 def zero_cost(measure=None):
-    z = lambda *a: np.zeros_like(np.asarray(a[-2] if len(a) == 3 else a[-1], dtype=float))
     return CostSpec(running=lambda t, s, u: np.zeros_like(np.asarray(s, dtype=float)),
                     running_dsigma=lambda t, s, u: np.zeros_like(np.asarray(s, dtype=float)),
-                    running_du=lambda t, s, u: np.zeros_like(np.asarray(s, dtype=float)),
                     terminal=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
                     terminal_dsigma=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
                     measure=measure or Measure(kind="lebesgue"))
@@ -118,7 +117,43 @@ class TestEvaluateCost:
         assert errs[0] > errs[1] > errs[2]
 
 
+# the step of the complex-step derivative: exact to rounding, whatever the form in u
+COMPLEX_STEP = 1e-30
+
+
+def d_u(fn):
+    """d fn / du by the complex step, u being the last argument of ``fn``."""
+    return lambda *args: np.imag(fn(*args[:-1], args[-1] + 1j * COMPLEX_STEP)) / COMPLEX_STEP
+
+
+def hamiltonian(problem, t, modes, p, u, *, u_derivative=False):
+    """Brute-force reference H(t, u, X, p) = L(t, X, u) + <p, F(X, u)> per path.
+
+    ``modes`` and ``p`` are (P, N) coefficient batches.  A scalar ``u``
+    gives a (P,) result; a (V,) array of control values gives (V, P), the
+    running density and the reaction being evaluated on (V, P, N)
+    collocation arrays.  ``u_derivative=True`` returns d_u H = d_u L +
+    <p, d_u F>, by the complex step of ``cost.running`` and ``drift.f``, so
+    the reference assumes nothing of their form in u.  The pairing is taken
+    on the collocation grid: ``to_coeffs`` is ``quad_weight * to_field^T``,
+    so <p, to_coeffs(f)> = quad_weight * sum_j to_field(p)_j f(sigma_j, u).
+    """
+    domain, cost, drift = problem.domain, problem.cost, problem.drift
+    density, reaction = cost.running, drift.f
+    if u_derivative:
+        density, reaction = d_u(density), d_u(reaction)
+    u = np.asarray(u, dtype=float)
+    u_grid = u[..., None, None]                 # broadcasts against the (P, N) field
+    pairing = domain.quad_weight * np.einsum("...pj,pj->...p",
+                                             reaction(domain.to_field(modes), u_grid),
+                                             domain.to_field(p))
+    h = cost.integrate(domain, modes, lambda s: density(t, s, u_grid))
+    return np.broadcast_to(h + pairing, u.shape + modes.shape[:1])
+
+
 class TestHamiltonian:
+    """The brute-force reference H against which the closed form is checked."""
+
     def test_zero_p_reduces_to_running_cost(self):
         problem = catalog_problem("lq-1d", modes=8, n_steps=32)
         h = hamiltonian(problem, 0.0, problem.x0[None], np.zeros((1, 8)), 0.5)[0]
@@ -196,7 +231,7 @@ class TestHamiltonian:
         rng = np.random.default_rng(3)
         x = 0.3 * rng.standard_normal((6, domain.n_modes))
         p = rng.standard_normal((6, domain.n_modes))
-        density, reaction = ((cost.running_du, drift.f_u) if u_derivative
+        density, reaction = ((d_u(cost.running), d_u(drift.f)) if u_derivative
                              else (cost.running, drift.f))
         u_grid = np.asarray(u)[..., None, None]
         f_coeffs = domain.to_coeffs(np.broadcast_to(
@@ -206,17 +241,6 @@ class TestHamiltonian:
         h = hamiltonian(problem, 0.2, x, p, u, u_derivative=u_derivative)
         assert h.shape == reference.shape == np.shape(u) + (6,)
         assert np.max(np.abs(h - reference)) < 1e-12 * np.max(np.abs(reference))
-
-    def test_shape_and_configuration_errors(self):
-        problem = catalog_problem("lq-1d", modes=8, n_steps=32)
-        with pytest.raises(ShapeError):
-            hamiltonian(problem, 0.0, np.zeros((3, 8)), np.zeros((2, 8)), 0.1)
-        with pytest.raises(ShapeError):
-            hamiltonian(problem, 0.0, np.zeros(8), np.zeros(8), 0.1)
-        problem.cost = dataclasses.replace(problem.cost, running_du=None)
-        with pytest.raises(ConfigurationError):
-            hamiltonian(problem, 0.0, np.zeros((3, 8)), np.zeros((3, 8)), 0.1,
-                        u_derivative=True)
 
 
 class TestMaximumPrinciple:
@@ -372,38 +396,39 @@ REDUCED = {"lq-1d": dict(n_steps=32), "cubic-1d": dict(modes=16, n_steps=32),
 
 
 def collected_pathwise(problem, ens):
-    """The streamed p~ collected into an ``AdjointSolution``, which replays its rows without
-    the state fields, so every consumer transforms the state afresh."""
+    """The streamed p~ collected into an ``AdjointSolution``, which replays its stored rows."""
     p_values = np.empty_like(ens.modes)
     p_values[:, -1] = problem.cost.terminal_gradient_coeffs(problem.domain, ens.modes[:, -1])
-    for n, _, p in PathwiseAdjoint(problem, ens).nodes():
+    for n, p in PathwiseAdjoint(problem, ens).nodes():
         p_values[:, n] = p
     return AdjointSolution(times=ens.times, p_values=p_values, ensemble=ens)
 
 
+def closed_form_gradient(problem, nodes, values):
+    """d_u H = 2 kappa u_t + b m_t, m_t the mean of ``control_pairings`` over ``nodes``:
+    the descent direction, in the arithmetic of ``optimize_control``."""
+    b, kappa = control_coefficients(problem)
+    mean = np.empty(values.size)
+    for n, s in control_pairings(problem.domain, nodes):
+        mean[n] = s.mean()
+    return 2.0 * kappa * values + b * mean
+
+
 def stored_descent(problem, control, iterations, step_rule, n_paths, seed):
-    """The descent with a stored pathwise sweep per iteration and ``hamiltonian`` per node."""
+    """The descent with a stored pathwise sweep at every control visited."""
     trace = {"J": [], "stderr": [], "grad_norm": []}
-
-    def record(ens):
-        costs = cost_of_ensemble(problem, ens)
-        trace["J"].append(float(costs.mean()))
-        trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
-
     values, normals = control.values.copy(), None
-    for _ in range(iterations):
+    for step in range(iterations + 1):
         ens = problem.ensemble(ControlProcess(values=values, space=problem.control_space),
                                n_paths, seed, normals=normals)
         normals = ens.normals
-        record(ens)
-        sol = collected_pathwise(problem, ens)
-        grad = np.array([np.mean(hamiltonian(problem, ens.times[n], ens.modes[:, n],
-                                             sol.p_values[:, n], values[n], u_derivative=True))
-                         for n in range(values.size)])
+        costs = cost_of_ensemble(problem, ens)
+        trace["J"].append(float(costs.mean()))
+        trace["stderr"].append(float(costs.std(ddof=1) / math.sqrt(n_paths)))
+        grad = closed_form_gradient(problem, collected_pathwise(problem, ens).nodes(), values)
         trace["grad_norm"].append(float(np.sqrt(np.sum(grad**2) * problem.dt)))
-        values = problem.control_space.project(values - step_rule * grad)
-    record(problem.ensemble(ControlProcess(values=values, space=problem.control_space),
-                            n_paths, seed, normals=normals))
+        if step < iterations:
+            values = problem.control_space.project(values - step_rule * grad)
     return values, trace
 
 
@@ -430,19 +455,57 @@ class TestStreamedConsumers:
         assert streamed["gaps"].tobytes() == stored["gaps"].tobytes()
         assert all(np.array_equal(streamed[k], stored[k]) for k in stored)
 
-    def test_hamiltonian_takes_the_state_field(self):
-        problem = catalog_problem("cubic-1d", seed=73, **REDUCED["cubic-1d"])
-        rng = np.random.default_rng(73)
-        modes, p = rng.standard_normal((2, 5, problem.domain.n_modes))
-        v = np.array([-0.5, 0.0, 0.7])
-        field = problem.domain.to_field(modes)
-        for u_derivative in (False, True):
-            own = hamiltonian(problem, 0.2, modes, p, v, u_derivative=u_derivative)
-            given = hamiltonian(problem, 0.2, modes, p, v, u_derivative=u_derivative,
-                                state_field=field)
-            assert own.tobytes() == given.tobytes()
-        with pytest.raises(ShapeError):
-            hamiltonian(problem, 0.2, modes, p, 0.1, state_field=field[:2])
+
+class TestClosedForm:
+    """The gap table and the descent gradient, from (b, kappa) and m_t, against brute force."""
+
+    @pytest.mark.parametrize("name", sorted(REDUCED))
+    def test_gaps_and_gradient_match_the_brute_force_hamiltonian(self, name):
+        # the descent's own gradient is closed_form_gradient byte for byte
+        # (TestStreamedConsumers), so this checks the gradient it descends along
+        problem = catalog_problem(name, seed=75, **REDUCED[name])
+        values = np.linspace(-0.6, 0.8, problem.n_steps)
+        ens = problem.ensemble(ControlProcess(values=values, space=problem.control_space),
+                               40, 75)
+        v = problem.control_space.sample(21)
+        gaps = check_maximum_principle(problem, PathwiseAdjoint(problem, ens), v)["gaps"]
+        grad = closed_form_gradient(problem, PathwiseAdjoint(problem, ens).nodes(), values)
+        p_values = collected_pathwise(problem, ens).p_values
+        ref_gaps, ref_grad = np.empty_like(gaps), np.empty_like(grad)
+        for n in range(problem.n_steps):
+            args = (problem, ens.times[n], ens.modes[:, n], p_values[:, n])
+            h = hamiltonian(*args, np.concatenate([[values[n]], v]))
+            ref_gaps[n] = np.mean(h[1:] - h[0], axis=1)
+            ref_grad[n] = np.mean(hamiltonian(*args, values[n], u_derivative=True))
+        assert np.max(np.abs(gaps - ref_gaps)) <= 1e-13 * np.max(np.abs(ref_gaps))
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
+
+    def test_refuses_drift_and_cost_outside_the_closed_form(self, monkeypatch):
+        base = catalog_problem("lq-1d", seed=76, **REDUCED["lq-1d"])
+        ens = base.ensemble(constant_control_for(base, 0.1), 8, 76)
+        ones = lambda s: np.ones_like(np.asarray(s, dtype=float))
+        squared = dataclasses.replace(base.drift, f=lambda s, u: -s + u**2, name="squared")
+        changes = {
+            "d_u f is 2u": {"drift": dataclasses.replace(squared, f_u=lambda s, u: 2.0 * u * ones(s))},
+            "f is not affine in u": {"drift": squared},
+            "no d_u f": {"drift": dataclasses.replace(base.drift, f_u=None)},
+            "sigma u cost": {"cost": dataclasses.replace(
+                base.cost, running=lambda t, s, u: 0.5 * s**2 + 0.5 / math.pi * u**2 + s * u)},
+            "t u^2 cost": {"cost": dataclasses.replace(
+                base.cost, running=lambda t, s, u: 0.5 * s**2 + (1.0 + t) / math.pi * u**2)},
+        }
+        sweeps, ensembles = [], []
+        monkeypatch.setattr(adj, "_backward_nodes", counted(adj._backward_nodes, sweeps))
+        monkeypatch.setattr(ctl, "simulate_ensemble", counted(ctl.simulate_ensemble, ensembles))
+        for why, change in changes.items():
+            problem = dataclasses.replace(base, **change)
+            with pytest.raises(ConfigurationError, match="closed form|d_u f"):
+                check_maximum_principle(problem, PathwiseAdjoint(problem, ens))
+            with pytest.raises(ConfigurationError, match="closed form|d_u f"):
+                optimize_control(problem, constant_control_for(problem, 0.1), iterations=2,
+                                 n_paths=8, seed=76)
+            assert (sweeps, ensembles) == ([], []), why
+        assert control_coefficients(base) == (1.0, pytest.approx(0.5, rel=1e-15))
 
 
 class TestNoPArray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spdecontrol.noise as noise_module
+from spdecontrol.control import catalog_problem, constant_control_for
 from spdecontrol.errors import ConfigurationError
 from spdecontrol.noise import (NoiseModel, aggregate_increments, convolution_increments,
                                factorization_prefactor, factorization_reconstruct,
@@ -69,6 +70,23 @@ class TestSeriesCondition:
                         got = series_condition_v(dom, NoiseModel(dom, gamma, alpha, 1))
                         expected = gamma > regularity_threshold(d, kind, alpha)
                         assert got["converges"] == expected
+
+
+class TestSeedSequence:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_root_seed_outside_64_bits_refused(self, seed):
+        # -1 once aliased 2**64 - 1 bit for bit
+        with pytest.raises(ConfigurationError, match="root seed must lie in"):
+            seed_sequence(seed, "wiener", 0)
+        problem = catalog_problem("lq-1d", modes=4, n_steps=8)
+        with pytest.raises(ConfigurationError, match="root seed must lie in"):
+            problem.ensemble(constant_control_for(problem, 0.0), 2, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+    def test_valid_root_seeds_keep_their_streams(self, seed):
+        kept = np.random.SeedSequence(entropy=seed, spawn_key=(1, 3))
+        assert np.array_equal(seed_sequence(seed, "wiener", 3).generate_state(4),
+                              kept.generate_state(4))
 
 
 class TestConvolutionSampling:

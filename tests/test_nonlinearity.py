@@ -1,9 +1,15 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spdecontrol.errors import ConfigurationError
-from spdecontrol.nonlinearity import (ControlSpace, bistable_drift, cubic_drift,
-                                      drift_from_config, linear_drift)
+from spdecontrol.nonlinearity import (_CATALOG, ControlSpace, NemytskiiDrift, bistable_drift,
+                                      cubic_drift, drift_from_config, linear_drift)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestDriftCatalog:
@@ -59,6 +65,19 @@ class TestDriftCatalog:
         assert drift.dissipativity_bound == 2.0
         with pytest.raises(ConfigurationError):
             drift_from_config({"kind": "nope"})
+
+
+    @pytest.mark.parametrize("kind", sorted(_CATALOG))
+    def test_every_traced_drift_callable_is_set(self, kind):
+        # perfbench/tracer.py wraps these fields of each built problem's drift by name, and
+        # the benchmark expects a per-layer metric for each; read from its source unimported
+        tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+        names = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [t.id for t in node.targets] == ["DRIFT_CALLABLES"])
+        fields = {f.name for f in dataclasses.fields(NemytskiiDrift)}
+        drift = _CATALOG[kind]()
+        assert names and all(name in fields and callable(getattr(drift, name)) for name in names)
 
 
 class TestControlSpace:
